@@ -13,21 +13,20 @@
 //      and run the matcher over sysdb/netdb/secdb,
 //   4. reply with the candidate list (Table 3.6) under the same sequence
 //      number.
-// `handler_threads` loops drain the one UDP socket concurrently; the kernel
-// hands each datagram to exactly one of them.
+// The service port is a net::UdpShardGroup: `ingest_shards` reuseport
+// sockets, each drained by `handler_threads` reactor loops that take a batch
+// of requests per wakeup and send the batch's replies with one sendmmsg.
+// The default, one shard and one loop, runs the same drain.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/server_matcher.h"
-#include "net/reactor.h"
 #include "ipc/status_store.h"
 #include "lang/requirement_cache.h"
-#include "net/udp_socket.h"
+#include "net/udp_shard_group.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "transport/receiver.h"
@@ -42,28 +41,23 @@ struct WizardConfig {
   transport::TransferMode mode = transport::TransferMode::kCentralized;
   std::string local_group = "local";
 
-  /// Request-loop threads draining the UDP socket (start() spawns this many).
-  /// Only used for the single-shard (default) configuration.
+  /// Reactor loops draining each request socket; the kernel hands each
+  /// datagram to exactly one of them.
   std::size_t handler_threads = 1;
 
-  /// Ingest shard group (ROADMAP item 2): >1 binds this many SO_REUSEPORT
-  /// sockets to the service port and drains each from its own reactor via
-  /// readable callbacks — batched recvmmsg in, batched sendmmsg replies out,
-  /// no blocking request loops. The kernel spreads clients across shards by
-  /// 4-tuple; replies leave from the same port, so clients see byte-identical
-  /// protocol behavior. 1 (the default) keeps the blocking handler_threads
-  /// path exactly.
+  /// Request sockets bound to the service port. More than one joins them in
+  /// an SO_REUSEPORT group, and the kernel spreads clients across them by
+  /// 4-tuple; replies leave from the same port, so clients see the same
+  /// protocol at any shard count.
   std::size_t ingest_shards = 1;
 
-  /// Pin shard i's reactor loop to CPU (i mod cores). Best-effort.
+  /// With more than one shard, pin loop i to the i-th CPU this process may
+  /// run on. Best-effort.
   bool pin_shards = true;
 
   /// SO_RCVBUF for the request sockets; 0 keeps the kernel default.
   int rcvbuf_bytes = 0;
 
-  /// Max requests drained per shard readable callback; readiness is
-  /// level-triggered, so leftovers re-fire the callback immediately.
-  std::size_t shard_batch = 64;
   /// Threads per matcher pass over the sys records (<= 1: serial scan).
   std::size_t match_threads = 1;
   /// Capacity of the compiled-requirement cache and of the reply cache;
@@ -98,19 +92,15 @@ class Wizard {
   void add_transmitter(const net::Endpoint& endpoint);
 
   /// The UDP endpoint clients send requests to.
-  net::Endpoint endpoint() const { return endpoint_; }
-
-  /// Handles one pending request if any (polling entry point). Thread-safe:
-  /// the handler threads all sit in this call.
-  bool poll_once(util::Duration timeout);
+  net::Endpoint endpoint() const { return group_.endpoint(); }
 
   /// Builds the reply for a request (exposed for tests — no sockets).
   /// `parent_span` links the handle span under the caller's flight-recorder
   /// span (0 = root).
   WizardReply handle(const UserRequest& request, std::uint64_t parent_span = 0);
 
-  bool start();
-  void stop();
+  bool start() { return group_.start(); }
+  void stop() { group_.stop(); }
 
   std::uint64_t requests_served() const {
     return requests_served_.load(std::memory_order_relaxed);
@@ -118,40 +108,29 @@ class Wizard {
   /// Whether the status feed currently exceeds the staleness bound (always
   /// false when the bound is disabled or the sysdb is empty).
   bool degraded() const;
-  bool valid() const { return socket_.valid(); }
+  bool valid() const { return group_.valid(); }
   /// Why the construction-time UDP bind failed; empty when valid().
-  const std::string& bind_error() const { return bind_error_; }
+  const std::string& bind_error() const { return group_.bind_error(); }
 
   /// Fast-path observability.
   const lang::RequirementCache& requirement_cache() const { return requirement_cache_; }
   lang::RequirementCache::Stats reply_cache_stats() const;
   const util::LatencyRecorder& latency() const { return latency_; }
 
-  /// Sockets actually bound into the reuseport group (1 when unsharded or a
-  /// group bind degraded).
-  std::size_t ingest_shards() const { return shards_.empty() ? 1 : shards_.size(); }
+  /// Sockets actually bound into the reuseport group (fewer than configured
+  /// when a member bind failed).
+  std::size_t ingest_shards() const { return group_.shards(); }
 
  private:
-  void run_loop();
-  /// Parses `payload`, runs handle(), and serializes the reply into
-  /// `reply_wire`. False (empty reply) for malformed requests. Shared by the
-  /// blocking poll path and the shard drain path.
-  bool handle_datagram(const std::string& payload, const net::Endpoint& peer,
-                       std::string& reply_wire);
-  net::UdpSocket& shard_socket(std::size_t shard) {
-    return shard == 0 ? socket_ : shards_[shard]->socket;
-  }
-  void drain_shard(std::size_t shard);
+  /// The shard group's handler: one reply per well-formed request.
+  std::size_t serve_batch(std::vector<net::Datagram>& requests,
+                          std::vector<net::Datagram>& replies);
 
   WizardConfig config_;
   ipc::StatusStore* store_;
   transport::Receiver* receiver_;
   std::vector<net::Endpoint> transmitters_;
   ServerMatcher matcher_;
-
-  net::UdpSocket socket_;
-  net::Endpoint endpoint_;
-  std::string bind_error_;
 
   lang::RequirementCache requirement_cache_;
 
@@ -187,25 +166,10 @@ class Wizard {
   Metrics metrics_;
 
   std::mutex refresh_mu_;  // serializes distributed-mode pulls
-  std::vector<std::thread> threads_;
-  std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint64_t> requests_served_{0};
 
-  // Reuseport shard group: N entries when config.ingest_shards > 1, empty
-  // otherwise. Entry 0's socket member is unused (shard 0 drains socket_);
-  // reactors are created by start() and torn down by stop().
-  struct IngestShard {
-    net::UdpSocket socket;  // invalid for shard 0 (socket_ is used)
-    std::unique_ptr<net::Reactor> reactor;
-    std::vector<net::Datagram> in_batch;   // reused receive buffers
-    std::vector<net::Datagram> out_batch;  // replies for one drained batch
-    obs::Counter* requests = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* rcvbuf_dropped = nullptr;
-    std::uint64_t drops_published = 0;
-  };
-  std::vector<std::unique_ptr<IngestShard>> shards_;
-  obs::Counter* rcvbuf_dropped_counter_ = nullptr;
+  // Last member: its loops call into everything above.
+  net::UdpShardGroup group_;
 };
 
 }  // namespace smartsock::core

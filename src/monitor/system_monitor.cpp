@@ -1,8 +1,10 @@
 #include "monitor/system_monitor.h"
 
+#include <algorithm>
+#include <memory>
+
 #include "util/counters.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace smartsock::monitor {
 namespace {
@@ -11,6 +13,12 @@ namespace {
 // bytes, so 2 KB leaves ample headroom (oversized datagrams are truncated
 // and rejected as malformed).
 constexpr std::size_t kMaxReportBytes = 2048;
+
+// A TCP report ends at a newline or EOF, is capped at this many bytes, and
+// must arrive within kTcpReportDeadline of the accept. Whatever arrived by
+// then is parsed, so an empty or cut-off report counts as rejected.
+constexpr std::size_t kMaxTcpReportBytes = 4096;
+constexpr util::Duration kTcpReportDeadline = std::chrono::seconds(1);
 
 }  // namespace
 
@@ -43,34 +51,22 @@ ipc::SysRecord to_sys_record(const probe::StatusReport& report, std::uint64_t no
 }
 
 SystemMonitor::SystemMonitor(SystemMonitorConfig config, ipc::StatusStore& store)
-    : config_(std::move(config)), store_(&store) {
-  if (config_.ingest_shards == 0) config_.ingest_shards = 1;
-  net::UdpBindOptions bind_options;
-  bind_options.reuse_port = config_.ingest_shards > 1;
-  bind_options.rcvbuf_bytes = config_.rcvbuf_bytes;
-  bind_options.track_kernel_drops = true;
-  if (auto sock = net::UdpSocket::bind(config_.bind, bind_options)) {
-    socket_ = std::move(*sock);
-    socket_.set_traffic_counter(
-        obs::MetricsRegistry::instance().traffic("system_monitor"));
-    endpoint_ = socket_.local_endpoint();
-  }
-  // The rest of the reuseport group binds to the *resolved* endpoint, so an
-  // ephemeral shard-0 port is shared by every shard. A failed member bind
-  // degrades to fewer shards rather than failing the monitor.
-  for (std::size_t i = 1; socket_.valid() && i < config_.ingest_shards; ++i) {
-    auto member = net::UdpSocket::bind(endpoint_, bind_options);
-    if (!member) {
-      SMARTSOCK_LOG(kWarn, "system_monitor")
-          << "reuseport shard " << i << " failed to bind " << endpoint_.to_string()
-          << "; running with " << i << " ingest shard(s)";
-      break;
-    }
-    member->set_traffic_counter(
-        obs::MetricsRegistry::instance().traffic("system_monitor"));
-    extra_sockets_.push_back(std::move(*member));
-  }
-
+    : config_(std::move(config)),
+      store_(&store),
+      group_(
+          net::UdpShardGroupConfig{
+              .name = "sysmon",
+              .traffic_component = "system_monitor",
+              .bind = config_.bind,
+              .shards = config_.ingest_shards,
+              .pin = config_.pin_shards,
+              .rcvbuf_bytes = config_.rcvbuf_bytes,
+              .batch = config_.max_batch,
+              .max_datagram = kMaxReportBytes,
+          },
+          [this](std::vector<net::Datagram>& batch, std::vector<net::Datagram>&) {
+            return ingest_batch(batch);
+          }) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   reports_counter_ = registry.counter("sysmon_reports_total");
   rejected_counter_ = registry.counter("sysmon_reports_rejected_total");
@@ -82,17 +78,6 @@ SystemMonitor::SystemMonitor(SystemMonitorConfig config, ipc::StatusStore& store
   quarantined_hosts_gauge_ = registry.gauge("sysmon_quarantined_hosts");
   last_batch_received_gauge_ = registry.gauge("sysmon_last_batch_received");
   last_batch_ingested_gauge_ = registry.gauge("sysmon_last_batch_ingested");
-  rcvbuf_dropped_counter_ = registry.counter("udp_rcvbuf_dropped_total");
-  shard_states_.resize(ingest_shards());
-  for (std::size_t i = 0; i < shard_states_.size(); ++i) {
-    std::string shard_label = "{shard=\"" + std::to_string(i) + "\"}";
-    shard_states_[i].datagrams = registry.counter("sysmon_shard_datagrams_total" + shard_label);
-    shard_states_[i].batches = registry.counter("sysmon_shard_batches_total" + shard_label);
-    // Daemon-qualified: the wizard publishes its own per-shard series under
-    // the same metric name.
-    shard_states_[i].rcvbuf_dropped = registry.counter(
-        "udp_rcvbuf_dropped_total{daemon=\"sysmon\",shard=\"" + std::to_string(i) + "\"}");
-  }
   // Per-server staleness: a gauge per sysdb record with the age of its last
   // report, so an operator sees a silent probe *before* the expiry sweep
   // drops the server. Unregistered in the destructor — the collector reads
@@ -113,7 +98,7 @@ SystemMonitor::SystemMonitor(SystemMonitorConfig config, ipc::StatusStore& store
   if (config_.accept_tcp) {
     // Bind the TCP side on the same port number as the UDP side when the
     // bind requested a specific port, else take another ephemeral one.
-    net::Endpoint tcp_bind = endpoint_.valid() && config_.bind.port() != 0
+    net::Endpoint tcp_bind = group_.valid() && config_.bind.port() != 0
                                  ? config_.bind
                                  : net::Endpoint(config_.bind.ip(), 0);
     if (auto listener = net::TcpListener::listen(tcp_bind)) {
@@ -226,80 +211,51 @@ bool SystemMonitor::ingest_payload(std::string_view payload, const net::Endpoint
   return true;
 }
 
-bool SystemMonitor::poll_once(util::Duration timeout) {
-  if (!socket_.valid()) return false;
-  auto datagram = socket_.receive(timeout);
-  if (!datagram) return false;
-  return ingest_payload(datagram->payload, datagram->peer);
-}
-
-std::size_t SystemMonitor::poll_batch(util::Duration timeout) {
-  if (!socket_.valid()) return 0;
-  socket_.set_receive_timeout(timeout);
-  return drain_shard(0);
-}
-
-std::size_t SystemMonitor::drain_shard(std::size_t shard) {
-  net::UdpSocket& sock = shard_socket(shard);
-  ShardState& state = shard_states_[shard];
-  std::size_t cap = config_.max_batch > 0 ? config_.max_batch : 1;
-  // One recvmmsg: the first datagram waits under SO_RCVTIMEO, the rest of
-  // the batch is whatever the kernel already queued (MSG_WAITFORONE).
-  std::size_t received = sock.receive_batch(state.batch, cap, kMaxReportBytes);
-  if (received == 0) return 0;
+std::size_t SystemMonitor::ingest_batch(std::vector<net::Datagram>& batch) {
   std::size_t ingested = 0;
-  for (std::size_t i = 0; i < received; ++i) {
-    if (ingest_payload(state.batch[i].payload, state.batch[i].peer)) ++ingested;
+  for (const net::Datagram& report : batch) {
+    if (ingest_payload(report.payload, report.peer)) ++ingested;
   }
   batches_counter_->inc();
-  state.batches->inc();
-  state.datagrams->inc(received);
-  last_batch_received_gauge_->set(static_cast<double>(received));
+  last_batch_received_gauge_->set(static_cast<double>(batch.size()));
   last_batch_ingested_gauge_->set(static_cast<double>(ingested));
-  // Publish the kernel's receive-queue overflow count (SO_RXQ_OVFL) as a
-  // delta, per shard and combined — the health engine rates the combined
-  // counter to flag sustained overflow.
-  std::uint64_t drops = sock.kernel_drops();
-  if (drops > state.drops_published) {
-    std::uint64_t delta = drops - state.drops_published;
-    state.drops_published = drops;
-    state.rcvbuf_dropped->inc(delta);
-    rcvbuf_dropped_counter_->inc(delta);
-  }
   return ingested;
 }
 
-std::uint64_t SystemMonitor::shard_kernel_drops(std::size_t shard) const {
-  if (shard >= ingest_shards()) return 0;
-  const net::UdpSocket& sock = shard == 0 ? socket_ : extra_sockets_[shard - 1];
-  return sock.kernel_drops();
-}
-
-bool SystemMonitor::poll_tcp_once(util::Duration timeout) {
-  if (!tcp_listener_.valid()) return false;
-  auto connection = tcp_listener_.accept(timeout);
-  if (!connection) return false;
-  connection->set_receive_timeout(std::chrono::seconds(1));
-
-  std::string line;
-  std::string ch;
-  while (line.size() < 4096) {
-    auto io = connection->receive_exact(ch, 1);
-    if (!io.ok()) break;
-    if (ch[0] == '\n') break;
-    line += ch[0];
-  }
-  auto report = probe::StatusReport::from_wire(line);
-  if (!report) {
-    reports_rejected_.fetch_add(1, std::memory_order_relaxed);
-    rejected_counter_->inc();
-    return false;
-  }
-  if (!admit_report(report->address)) return false;
-  store_->put_sys(to_sys_record(*report, ipc::steady_now_ns()));
-  reports_received_.fetch_add(1, std::memory_order_relaxed);
-  reports_counter_->inc();
-  return true;
+void SystemMonitor::accept_tcp_report(net::Reactor& loop, net::TcpSocket socket) {
+  struct Report {
+    net::Endpoint peer;
+    net::TimerId deadline = 0;
+    bool done = false;
+  };
+  auto report = std::make_shared<Report>();
+  report->peer = socket.peer_endpoint();
+  auto finish = [this, &loop, report](net::Connection& connection) {
+    if (report->done) return;
+    report->done = true;
+    if (report->deadline != 0) loop.cancel_timer(report->deadline);
+    std::string_view text = connection.input();
+    ingest_payload(text.substr(0, std::min(text.find('\n'), kMaxTcpReportBytes)), report->peer);
+    connection.close_now();
+  };
+  net::ConnectionHandler handler;
+  handler.label = "sysmon_tcp_report";
+  handler.on_data = [finish](net::Connection& connection) {
+    const std::string& in = connection.input();
+    if (in.find('\n') != std::string::npos || in.size() >= kMaxTcpReportBytes) {
+      finish(connection);
+    }
+  };
+  handler.on_close = [finish](net::Connection& connection, bool) { finish(connection); };
+  net::Connection* connection = loop.add_connection(std::move(socket), std::move(handler));
+  if (connection == nullptr) return;
+  report->deadline = loop.add_timer(
+      kTcpReportDeadline,
+      [report, connection] {
+        report->deadline = 0;
+        connection->close_now();
+      },
+      "sysmon_tcp_deadline");
 }
 
 std::size_t SystemMonitor::sweep_stale() {
@@ -334,69 +290,16 @@ std::size_t SystemMonitor::sweep_stale() {
 }
 
 bool SystemMonitor::start() {
-  if (!socket_.valid() || thread_.joinable()) return false;
-  stop_requested_.store(false, std::memory_order_release);
-  if (ingest_shards() > 1) {
-    // Shard group: one drain thread per reuseport socket, plus a
-    // housekeeping thread for the TCP side and the staleness sweep.
-    for (std::size_t i = 0; i < ingest_shards(); ++i) {
-      ingest_threads_.emplace_back([this, i] { ingest_loop(i); });
-    }
-    thread_ = std::thread([this] { housekeeping_loop(); });
-  } else {
-    thread_ = std::thread([this] { run_loop(); });
+  if (!group_.start()) return false;
+  net::Reactor& loop = *group_.loop(0);
+  if (tcp_listener_.valid()) {
+    loop.add_listener(
+        &tcp_listener_,
+        [this, &loop](net::TcpSocket socket) { accept_tcp_report(loop, std::move(socket)); },
+        "sysmon_tcp_accept");
   }
+  loop.add_periodic(config_.probe_interval, [this] { sweep_stale(); }, "sysmon_sweep");
   return true;
-}
-
-void SystemMonitor::stop() {
-  stop_requested_.store(true, std::memory_order_release);
-  for (std::thread& t : ingest_threads_) {
-    if (t.joinable()) t.join();
-  }
-  ingest_threads_.clear();
-  if (thread_.joinable()) thread_.join();
-}
-
-void SystemMonitor::run_loop() {
-  util::Duration sweep_every = config_.probe_interval;
-  util::Duration last_sweep = util::SteadyClock::instance().now();
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    poll_batch(std::chrono::milliseconds(40));
-    if (tcp_listener_.valid()) {
-      poll_tcp_once(std::chrono::milliseconds(5));
-    }
-    util::Duration now = util::SteadyClock::instance().now();
-    if (now - last_sweep >= sweep_every) {
-      sweep_stale();
-      last_sweep = now;
-    }
-  }
-}
-
-void SystemMonitor::ingest_loop(std::size_t shard) {
-  if (config_.pin_shards) util::pin_current_thread(shard);
-  shard_socket(shard).set_receive_timeout(std::chrono::milliseconds(40));
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    drain_shard(shard);
-  }
-}
-
-void SystemMonitor::housekeeping_loop() {
-  util::Duration sweep_every = config_.probe_interval;
-  util::Duration last_sweep = util::SteadyClock::instance().now();
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    if (tcp_listener_.valid()) {
-      poll_tcp_once(std::chrono::milliseconds(5));
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    util::Duration now = util::SteadyClock::instance().now();
-    if (now - last_sweep >= sweep_every) {
-      sweep_stale();
-      last_sweep = now;
-    }
-  }
 }
 
 }  // namespace smartsock::monitor

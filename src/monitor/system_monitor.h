@@ -1,21 +1,26 @@
 // System status monitor (§3.2.2).
 //
-// Receives probe reports over UDP, upserts them into the shared sysdb keyed
-// by server address, and sweeps stale records: a server whose probe misses 3
-// consecutive reporting intervals (§4.1) is considered gone and removed, so
-// no further tasks land on it until its probe resumes.
+// Receives probe reports over UDP, and over TCP as the reliable option
+// (Ch. 6), upserts them into the shared sysdb keyed by server address, and
+// sweeps stale records: a server whose probe misses 3 consecutive reporting
+// intervals (§4.1) is considered gone and removed, so no further tasks land
+// on it until its probe resumes.
+//
+// The report port is a net::UdpShardGroup: `ingest_shards` reuseport
+// sockets, each drained in batches by a reactor loop. Loop 0 also accepts
+// the TCP reports and runs the staleness sweep as a periodic timer, so no
+// report source can stall another.
 #pragma once
 
 #include <atomic>
 #include <deque>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "ipc/status_store.h"
 #include "net/tcp_listener.h"
-#include "net/udp_socket.h"
+#include "net/udp_shard_group.h"
 #include "obs/metrics.h"
 #include "probe/status_report.h"
 #include "util/clock.h"
@@ -26,26 +31,24 @@ struct SystemMonitorConfig {
   net::Endpoint bind = net::Endpoint::loopback(0);  // port 0 = ephemeral
   util::Duration probe_interval = std::chrono::seconds(2);
   int stale_factor = 3;  // missed intervals before a server expires
-  /// Also accept TCP-delivered reports (Ch. 6 "UDP vs TCP"): one
-  /// newline-terminated report per connection.
+  /// Also accept TCP-delivered reports (Ch. 6 "UDP vs TCP"): one report
+  /// per connection, ended by a newline or EOF.
   bool accept_tcp = true;
 
-  /// Max probe reports ingested per loop wakeup (ISSUE 5): after the first
-  /// (blocking) datagram, the socket is drained non-blocking up to this many
-  /// reports, so a fleet-wide report burst costs one wakeup instead of one
-  /// per datagram. Bounded so the TCP side and the staleness sweep still run
-  /// under sustained load.
+  /// Max probe reports ingested per loop wakeup (ISSUE 5): one recvmmsg
+  /// takes up to this many queued reports, so a fleet-wide report burst
+  /// costs one wakeup instead of one per datagram. Bounded so the TCP side
+  /// and the staleness sweep on the same loop still run under sustained
+  /// load.
   std::size_t max_batch = 256;
 
-  /// Ingest shard group (ROADMAP item 2): the monitor binds this many
-  /// SO_REUSEPORT UDP sockets to the same port, each drained by its own
-  /// thread with recvmmsg batching, and the kernel spreads probes across
-  /// them by sender 4-tuple. 1 (the default) keeps today's single-socket,
-  /// single-thread path exactly.
+  /// Report sockets bound to the monitor port. More than one joins them in
+  /// an SO_REUSEPORT group, each drained by its own reactor loop, and the
+  /// kernel spreads probes across them by sender 4-tuple.
   std::size_t ingest_shards = 1;
 
-  /// Pin ingest shard i to CPU (i mod cores) — per-CPU ingest à la the
-  /// tcp_smp exemplar. Best-effort; ignored where affinity is unsupported.
+  /// With more than one shard, pin loop i to the i-th CPU this process may
+  /// run on — per-CPU ingest à la the tcp_smp exemplar. Best-effort.
   bool pin_shards = true;
 
   /// SO_RCVBUF for every ingest socket; 0 keeps the kernel default. Bursts
@@ -79,25 +82,20 @@ class SystemMonitor {
   SystemMonitor& operator=(const SystemMonitor&) = delete;
 
   /// The UDP endpoint probes should report to (resolved after bind).
-  net::Endpoint endpoint() const { return endpoint_; }
+  net::Endpoint endpoint() const { return group_.endpoint(); }
 
   /// The TCP endpoint for reliable reporting (invalid if accept_tcp off).
   net::Endpoint tcp_endpoint() const { return tcp_endpoint_; }
 
-  /// Accepts and ingests at most one TCP-delivered report.
-  bool poll_tcp_once(util::Duration timeout);
-
+  /// Starts the loops: UDP ingest on every shard, TCP reports and the
+  /// staleness sweep on loop 0.
   bool start();
-  void stop();
+  void stop() { group_.stop(); }
 
-  /// Processes at most one pending datagram (test/polling entry point).
-  /// Returns true if a report was ingested.
-  bool poll_once(util::Duration timeout);
-
-  /// Blocks up to `timeout` for the first datagram, then drains everything
-  /// already queued on the socket (bounded by config.max_batch) with a
-  /// reused receive buffer. Returns the number of reports ingested.
-  std::size_t poll_batch(util::Duration timeout);
+  /// For a monitor that is not started: waits up to `timeout` for a report
+  /// on shard 0, then runs one drain of everything already queued there
+  /// (bounded by config.max_batch). Returns the number of reports ingested.
+  std::size_t poll_batch(util::Duration timeout) { return group_.poll(timeout); }
 
   /// Runs the staleness sweep immediately; returns records removed.
   std::size_t sweep_stale();
@@ -122,25 +120,22 @@ class SystemMonitor {
   }
   /// Whether reports from `address` are currently being dropped.
   bool is_quarantined(const std::string& address) const;
-  bool valid() const { return socket_.valid(); }
+  bool valid() const { return group_.valid(); }
 
   /// Sockets actually bound into the reuseport group (≤ config.ingest_shards
   /// when a group bind failed and the monitor degraded to fewer shards).
-  std::size_t ingest_shards() const { return 1 + extra_sockets_.size(); }
+  std::size_t ingest_shards() const { return group_.shards(); }
 
   /// Kernel receive-queue drops observed on shard `shard` so far.
-  std::uint64_t shard_kernel_drops(std::size_t shard) const;
+  std::uint64_t shard_kernel_drops(std::size_t shard) const {
+    return group_.kernel_drops(shard);
+  }
 
  private:
-  void run_loop();
-  void housekeeping_loop();
-  void ingest_loop(std::size_t shard);
-  net::UdpSocket& shard_socket(std::size_t shard) {
-    return shard == 0 ? socket_ : extra_sockets_[shard - 1];
-  }
-  /// One blocking-then-drain batch on shard `shard` (SO_RCVTIMEO applies to
-  /// the wait for the first datagram). Returns reports ingested.
-  std::size_t drain_shard(std::size_t shard);
+  /// The shard group's handler: ingests one drained batch.
+  std::size_t ingest_batch(std::vector<net::Datagram>& batch);
+  /// Reads one TCP report on loop `loop` (see kTcpReportDeadline).
+  void accept_tcp_report(net::Reactor& loop, net::TcpSocket socket);
   /// Flap accounting on ingest; false = drop the report (quarantined).
   bool admit_report(const std::string& address);
   /// Parse + admit + store one received report payload.
@@ -148,11 +143,8 @@ class SystemMonitor {
 
   SystemMonitorConfig config_;
   ipc::StatusStore* store_;
-  net::UdpSocket socket_;  // ingest shard 0
-  net::Endpoint endpoint_;
   net::TcpListener tcp_listener_;
   net::Endpoint tcp_endpoint_;
-  std::vector<net::UdpSocket> extra_sockets_;  // ingest shards 1..N-1
 
   // Per-host flap bookkeeping, keyed by server address. `expired` is set by
   // the sweep when the host drops out; the next admitted report turns it
@@ -167,9 +159,6 @@ class SystemMonitor {
   mutable std::mutex flap_mu_;
   std::unordered_map<std::string, HostFlapState> flap_states_;
 
-  std::thread thread_;
-  std::vector<std::thread> ingest_threads_;
-  std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint64_t> reports_received_{0};
   std::atomic<std::uint64_t> reports_rejected_{0};
   std::atomic<std::uint64_t> records_expired_{0};
@@ -190,18 +179,10 @@ class SystemMonitor {
   // traffic no longer overcounts ingest.
   obs::Gauge* last_batch_received_gauge_ = nullptr;
   obs::Gauge* last_batch_ingested_gauge_ = nullptr;
-  obs::Counter* rcvbuf_dropped_counter_ = nullptr;  // all shards combined
   std::uint64_t collector_id_ = 0;
 
-  // Per-shard ingest accounting (sysmon_shard_*{shard="i"}).
-  struct ShardState {
-    std::vector<net::Datagram> batch;  // reused receive buffers
-    obs::Counter* datagrams = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* rcvbuf_dropped = nullptr;
-    std::uint64_t drops_published = 0;
-  };
-  std::vector<ShardState> shard_states_;
+  // Last member: its loops call into everything above.
+  net::UdpShardGroup group_;
 };
 
 }  // namespace smartsock::monitor

@@ -9,7 +9,7 @@
 // breaker, staleness degradation and quarantine logic in the layers above
 // are all exercised against these faults in tests/failure_test.cpp.
 //
-// Batched I/O (UdpSocket::receive_batch/send_batch) draws every decision
+// Batched I/O (UdpSocket::try_receive_batch/send_batch) draws every decision
 // per-datagram in batch order, and on the send side before any syscall, so
 // the mmsg fast path and the single-syscall fallback consume the seeded RNG
 // identically — a chaos run reproduces regardless of which path ran.

@@ -21,6 +21,30 @@ struct SendPlan {
   sockaddr_in addr{};
 };
 
+#if defined(__linux__) && defined(MSG_WAITFORONE)
+// recvmmsg target reused by every batched receive on one thread. The kernel
+// writes into one block and only the bytes that arrived are copied out, so a
+// drain that finds one datagram costs one copy, not max_batch receive slots
+// allocated and zero-filled to max_size.
+struct ReceiveScratch {
+  std::unique_ptr<char[]> bytes;  // left uninitialized: the kernel writes it
+  std::size_t capacity = 0;
+  std::vector<mmsghdr> msgs;
+  std::vector<iovec> iovs;
+  std::vector<sockaddr_in> addrs;
+  std::vector<char> cmsgs;
+
+  char* block(std::size_t size) {
+    if (size > capacity) {
+      bytes.reset(new char[size]);
+      capacity = size;
+    }
+    return bytes.get();
+  }
+};
+thread_local ReceiveScratch t_receive_scratch;
+#endif
+
 }  // namespace
 
 std::optional<UdpSocket> UdpSocket::create() {
@@ -47,7 +71,7 @@ std::optional<UdpSocket> UdpSocket::bind(const Endpoint& endpoint,
 #ifdef SO_RXQ_OVFL
     int on = 1;
     if (::setsockopt(sock->fd(), SOL_SOCKET, SO_RXQ_OVFL, &on, sizeof(on)) == 0) {
-      sock->rxq_tracking_ = true;
+      sock->kernel_drops_ = std::make_unique<std::atomic<std::uint64_t>>(0);
     }
 #endif
   }
@@ -136,65 +160,59 @@ std::optional<Datagram> UdpSocket::receive(util::Duration timeout, std::size_t m
 
 void UdpSocket::note_rxq_counter(std::uint32_t cumulative) {
   // SO_RXQ_OVFL delivers the kernel's cumulative per-socket drop count with
-  // each datagram; unsigned subtraction makes the delta wrap-safe.
-  std::uint32_t delta = cumulative - last_rxq_;
-  last_rxq_ = cumulative;
-  kernel_drops_ += delta;
-}
-
-std::size_t UdpSocket::receive_batch(std::vector<Datagram>& batch, std::size_t max_batch,
-                                     std::size_t max_size, IoResult* result_out) {
-  return receive_batch_impl(/*wait_for_first=*/true, batch, max_batch, max_size, result_out);
+  // each datagram; unsigned subtraction makes the step wrap-safe. Several
+  // threads may drain one socket, so an older count can land after a newer
+  // one: only a forward step (in serial-number order) advances the total.
+  std::uint64_t seen = kernel_drops_->load(std::memory_order_relaxed);
+  for (;;) {
+    auto step = static_cast<std::int32_t>(cumulative - static_cast<std::uint32_t>(seen));
+    if (step <= 0) return;
+    if (kernel_drops_->compare_exchange_weak(seen, seen + static_cast<std::uint32_t>(step),
+                                             std::memory_order_relaxed)) {
+      return;
+    }
+  }
 }
 
 std::size_t UdpSocket::try_receive_batch(std::vector<Datagram>& batch, std::size_t max_batch,
                                          std::size_t max_size, IoResult* result_out) {
-  return receive_batch_impl(/*wait_for_first=*/false, batch, max_batch, max_size, result_out);
-}
-
-std::size_t UdpSocket::receive_batch_impl(bool wait_for_first, std::vector<Datagram>& batch,
-                                          std::size_t max_batch, std::size_t max_size,
-                                          IoResult* result_out) {
   if (result_out) *result_out = IoResult{IoStatus::kTimeout, 0, EAGAIN};
   if (max_batch == 0 || fd_ < 0) {
     batch.clear();
     if (result_out && fd_ < 0) *result_out = IoResult{IoStatus::kError, 0, EBADF};
     return 0;
   }
-  if (batch.size() != max_batch) batch.resize(max_batch);
 
   std::size_t received = 0;
   std::size_t received_bytes = 0;
 
 #if defined(__linux__) && defined(MSG_WAITFORONE)
   if (!force_fallback_) {
-    // Scratch arrays sized per call; the Datagram payloads themselves are
-    // the receive buffers, so steady-state reuse allocates nothing.
-    std::vector<mmsghdr> msgs(max_batch);
-    std::vector<iovec> iovs(max_batch);
-    std::vector<sockaddr_in> addrs(max_batch);
+    ReceiveScratch& scratch = t_receive_scratch;
+    char* block = scratch.block(max_batch * max_size);
+    std::vector<mmsghdr>& msgs = scratch.msgs;
+    std::vector<iovec>& iovs = scratch.iovs;
+    std::vector<sockaddr_in>& addrs = scratch.addrs;
+    msgs.assign(max_batch, mmsghdr{});
+    iovs.resize(max_batch);
+    addrs.resize(max_batch);
     // Room for the SO_RXQ_OVFL drop counter cmsg on every message.
     constexpr std::size_t kCmsgSpace = CMSG_SPACE(sizeof(std::uint32_t));
-    std::vector<char> cmsg_buf(rxq_tracking_ ? max_batch * kCmsgSpace : 0);
+    scratch.cmsgs.resize(kernel_drops_ ? max_batch * kCmsgSpace : 0);
     for (std::size_t i = 0; i < max_batch; ++i) {
-      batch[i].payload.resize(max_size);
-      iovs[i].iov_base = batch[i].payload.data();
+      iovs[i].iov_base = block + i * max_size;
       iovs[i].iov_len = max_size;
-      std::memset(&msgs[i], 0, sizeof(msgs[i]));
       msgs[i].msg_hdr.msg_name = &addrs[i];
       msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
-      if (rxq_tracking_) {
-        msgs[i].msg_hdr.msg_control = cmsg_buf.data() + i * kCmsgSpace;
+      if (kernel_drops_) {
+        msgs[i].msg_hdr.msg_control = scratch.cmsgs.data() + i * kCmsgSpace;
         msgs[i].msg_hdr.msg_controllen = kCmsgSpace;
       }
     }
-    // MSG_WAITFORONE blocks for the first datagram under SO_RCVTIMEO, then
-    // flips to non-blocking for the rest of the batch — the exact semantics
-    // of "wait for traffic, drain the burst" in one syscall.
-    int flags = wait_for_first ? MSG_WAITFORONE : MSG_DONTWAIT;
-    int n = ::recvmmsg(fd_, msgs.data(), static_cast<unsigned>(max_batch), flags, nullptr);
+    int n = ::recvmmsg(fd_, msgs.data(), static_cast<unsigned>(max_batch), MSG_DONTWAIT,
+                       nullptr);
     if (n < 0) {
       batch.clear();
       if (errno != EAGAIN && errno != EWOULDBLOCK && result_out) {
@@ -203,8 +221,9 @@ std::size_t UdpSocket::receive_batch_impl(bool wait_for_first, std::vector<Datag
       return 0;
     }
     FaultInjector* fault = active_fault_injector();
+    batch.resize(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      if (rxq_tracking_) {
+      if (kernel_drops_) {
         for (cmsghdr* cm = CMSG_FIRSTHDR(&msgs[i].msg_hdr); cm != nullptr;
              cm = CMSG_NXTHDR(&msgs[i].msg_hdr, cm)) {
 #ifdef SO_RXQ_OVFL
@@ -219,10 +238,7 @@ std::size_t UdpSocket::receive_batch_impl(bool wait_for_first, std::vector<Datag
       // Per-datagram fault decision, in arrival order: a dropped datagram
       // vanishes from the batch exactly as it would from a single receive.
       if (fault != nullptr && fault->drop_udp_recv()) continue;
-      if (received != static_cast<std::size_t>(i)) {
-        batch[received].payload.swap(batch[i].payload);
-      }
-      batch[received].payload.resize(msgs[i].msg_len);
+      batch[received].payload.assign(block + i * max_size, msgs[i].msg_len);
       batch[received].peer = Endpoint::from_sockaddr(addrs[i]);
       received_bytes += msgs[i].msg_len;
       ++received;
@@ -236,19 +252,17 @@ std::size_t UdpSocket::receive_batch_impl(bool wait_for_first, std::vector<Datag
   }
 #endif
 
-  // Portable fallback: one syscall per datagram — blocking (SO_RCVTIMEO)
-  // for the first, MSG_DONTWAIT to drain the rest. Fault decisions apply
-  // per-datagram in arrival order, mirroring the mmsg path.
+  // Portable fallback: one MSG_DONTWAIT syscall per datagram. Fault
+  // decisions apply per-datagram in arrival order, mirroring the mmsg path.
+  if (batch.size() != max_batch) batch.resize(max_batch);
   FaultInjector* fault = active_fault_injector();
   IoResult last{};
-  bool got_first = false;
   while (received < max_batch) {
-    int flags = (!got_first && wait_for_first) ? 0 : MSG_DONTWAIT;
     Datagram& slot = batch[received];
     slot.payload.resize(max_size);
     sockaddr_in addr{};
     socklen_t addr_len = sizeof(addr);
-    ssize_t n = ::recvfrom(fd_, slot.payload.data(), slot.payload.size(), flags,
+    ssize_t n = ::recvfrom(fd_, slot.payload.data(), slot.payload.size(), MSG_DONTWAIT,
                            reinterpret_cast<sockaddr*>(&addr), &addr_len);
     if (n < 0) {
       if (errno != EAGAIN && errno != EWOULDBLOCK) {
@@ -256,7 +270,6 @@ std::size_t UdpSocket::receive_batch_impl(bool wait_for_first, std::vector<Datag
       }
       break;
     }
-    got_first = true;  // kernel delivered a datagram, even if chaos eats it
     if (fault != nullptr && fault->drop_udp_recv()) continue;
     slot.payload.resize(static_cast<std::size_t>(n));
     slot.peer = Endpoint::from_sockaddr(addr);

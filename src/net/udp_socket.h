@@ -4,14 +4,16 @@
 // (§3.2.1), wizard request/reply (§3.6.1) and the one-way bandwidth probes
 // (§3.3.2) — the thesis picks UDP precisely to keep probing overhead small.
 //
-// The batched interface (receive_batch/send_batch) moves whole bursts per
+// The batched interface (try_receive_batch/send_batch) moves whole bursts per
 // syscall via recvmmsg/sendmmsg on Linux, with a portable single-syscall
-// fallback, and is the substrate of the SO_REUSEPORT ingest shard groups
-// (ROADMAP item 2). Fault injection applies per-datagram inside a batch so
-// the chaos suites bite identically on the fast path.
+// fallback, and is the substrate of net::UdpShardGroup. Fault injection
+// applies per-datagram inside a batch so the chaos suites bite identically
+// on the fast path.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -81,20 +83,12 @@ class UdpSocket : public Socket {
 
   // --- batched I/O (ROADMAP item 2) ---------------------------------------
 
-  /// Receives up to `max_batch` datagrams in one recvmmsg: blocks for the
-  /// first datagram honoring SO_RCVTIMEO (MSG_WAITFORONE), then takes
-  /// whatever else is already queued without waiting. `batch` is resized to
-  /// the number received and its entries are reused across calls, so a
-  /// steady-state ingest loop stops allocating. Each entry's payload is
+  /// Takes up to `max_batch` already-queued datagrams in one recvmmsg and
+  /// never blocks: 0 with kTimeout in `result_out` when the queue is empty.
+  /// `batch` is resized to the number received and its entries are reused
+  /// across calls, so a steady-state drain stops allocating. Each payload is
   /// capped at `max_size` bytes (longer datagrams are truncated by the
-  /// kernel). Returns the count received; 0 with kTimeout in `result_out`
-  /// when SO_RCVTIMEO expires. Injected faults (drop) apply per-datagram.
-  std::size_t receive_batch(std::vector<Datagram>& batch, std::size_t max_batch,
-                            std::size_t max_size = 2048, IoResult* result_out = nullptr);
-
-  /// As receive_batch but never blocks (pure drain): returns immediately
-  /// with 0/kTimeout when the socket buffer is empty. This is the reactor
-  /// readable-callback form.
+  /// kernel). Injected faults (drop) apply per-datagram.
   std::size_t try_receive_batch(std::vector<Datagram>& batch, std::size_t max_batch,
                                 std::size_t max_size = 2048, IoResult* result_out = nullptr);
 
@@ -109,8 +103,11 @@ class UdpSocket : public Socket {
 
   /// Total datagrams the kernel reports dropped on this socket's receive
   /// queue (SO_RXQ_OVFL), as of the newest datagram read by the batched
-  /// path. Requires UdpBindOptions::track_kernel_drops.
-  std::uint64_t kernel_drops() const { return kernel_drops_; }
+  /// path. Requires UdpBindOptions::track_kernel_drops. Safe to read, and to
+  /// receive, from several threads at once.
+  std::uint64_t kernel_drops() const {
+    return kernel_drops_ ? kernel_drops_->load(std::memory_order_relaxed) : 0;
+  }
 
   /// Forces the portable single-syscall fallback even on Linux (tests prove
   /// behavior parity between recvmmsg/sendmmsg and the loop fallback).
@@ -119,15 +116,12 @@ class UdpSocket : public Socket {
  private:
   IoResult receive_impl(int flags, std::string& payload, Endpoint& peer,
                         std::size_t max_size);
-  std::size_t receive_batch_impl(bool wait_for_first, std::vector<Datagram>& batch,
-                                 std::size_t max_batch, std::size_t max_size,
-                                 IoResult* result_out);
   void note_rxq_counter(std::uint32_t cumulative);
 
   bool force_fallback_ = false;
-  bool rxq_tracking_ = false;
-  std::uint32_t last_rxq_ = 0;
-  std::uint64_t kernel_drops_ = 0;
+  // Set when SO_RXQ_OVFL is on: the kernel's 32-bit cumulative drop count
+  // extended to 64 bits, its low half always the newest count seen.
+  std::unique_ptr<std::atomic<std::uint64_t>> kernel_drops_;
 };
 
 }  // namespace smartsock::net

@@ -5,18 +5,29 @@
 #ifdef __linux__
 #include <pthread.h>
 #include <sched.h>
-#include <unistd.h>
 #endif
 
 namespace smartsock::util {
 
-bool pin_current_thread(std::size_t cpu) {
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
 #ifdef __linux__
-  long cpus = ::sysconf(_SC_NPROCESSORS_ONLN);
-  if (cpus <= 0) return false;
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % static_cast<std::size_t>(cpus)), &set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+#endif
+  return cpus;
+}
+
+bool pin_current_thread(int cpu) {
+#ifdef __linux__
+  if (cpu < 0 || cpu >= CPU_SETSIZE) return false;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
   return ::pthread_setaffinity_np(::pthread_self(), sizeof(set), &set) == 0;
 #else
   (void)cpu;

@@ -50,9 +50,13 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Pins the calling thread to one CPU (modulo the machine's CPU count, so a
-/// shard index works directly). Best-effort: false when the platform has no
-/// affinity API or the call is rejected; callers proceed unpinned.
-bool pin_current_thread(std::size_t cpu);
+/// The CPUs the calling thread may run on (its sched_getaffinity mask), in
+/// ascending order; empty where the platform has no affinity API.
+std::vector<int> allowed_cpus();
+
+/// Pins the calling thread to `cpu`, an id from allowed_cpus(). Best-effort:
+/// false when the platform has no affinity API or the call is rejected;
+/// callers proceed unpinned.
+bool pin_current_thread(int cpu);
 
 }  // namespace smartsock::util

@@ -347,6 +347,10 @@ TEST(ClusterVersions, LaggingReplicaServedAsStaleNeverRewindsPin) {
   config.reply_timeout = 300ms;
   config.retries = 2;
   config.retry.initial_backoff = 10ms;
+  // The fresh replica must stay preferred until it dies: a loaded host can
+  // push its measured latency past the default prior of the untried lagging
+  // replica, which would then serve the second query without a failover.
+  config.selector.untried_latency_us = 1e6;
   core::SmartClient client(config);
 
   core::SmartClientConfig strict_config = config;

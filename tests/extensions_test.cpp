@@ -105,6 +105,7 @@ TEST(TcpReporting, ProbeReportsOverTcp) {
   monitor::SystemMonitor monitor(config, store);
   ASSERT_TRUE(monitor.valid());
   ASSERT_TRUE(monitor.tcp_endpoint().valid());
+  ASSERT_TRUE(monitor.start());
 
   sim::SimHost host(*sim::find_paper_host("dione"));
   host.procfs().tick(5.0);
@@ -117,7 +118,10 @@ TEST(TcpReporting, ProbeReportsOverTcp) {
                            std::make_unique<probe::SimProcSource>(&host.procfs()));
 
   ASSERT_TRUE(probe.probe_once());
-  ASSERT_TRUE(monitor.poll_tcp_once(1s));
+  for (int i = 0; i < 100 && monitor.reports_received() == 0; ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  monitor.stop();
   auto records = store.sys_records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].host_str(), "dione");
@@ -126,10 +130,14 @@ TEST(TcpReporting, ProbeReportsOverTcp) {
 TEST(TcpReporting, MalformedTcpReportRejected) {
   ipc::InMemoryStatusStore store;
   monitor::SystemMonitor monitor(monitor::SystemMonitorConfig{}, store);
+  ASSERT_TRUE(monitor.start());
   auto conn = net::TcpSocket::connect(monitor.tcp_endpoint(), 1s);
   ASSERT_TRUE(conn);
   ASSERT_TRUE(conn->send_all("not a report\n").ok());
-  EXPECT_FALSE(monitor.poll_tcp_once(1s));
+  for (int i = 0; i < 100 && monitor.reports_rejected() == 0; ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  monitor.stop();
   EXPECT_EQ(monitor.reports_rejected(), 1u);
   EXPECT_TRUE(store.sys_records().empty());
 }
@@ -215,7 +223,7 @@ TEST(SelectedParameters, ProbeEndToEndWithFilter) {
   probe::ServerProbe probe(config,
                            std::make_unique<probe::SimProcSource>(&host.procfs()));
   ASSERT_TRUE(probe.probe_once());
-  ASSERT_TRUE(monitor.poll_once(1s));
+  ASSERT_EQ(monitor.poll_batch(1s), 1u);
   auto records = store.sys_records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_GT(records[0].mem_free_mb, 0.0);

@@ -54,7 +54,7 @@ TEST(SystemMonitorTest, IngestsReports) {
   auto probe_sock = net::UdpSocket::create();
   ASSERT_TRUE(probe_sock);
   probe_sock->send_to(sample_report("a", "1.1.1.1:1").to_wire(), monitor.endpoint());
-  EXPECT_TRUE(monitor.poll_once(500ms));
+  EXPECT_EQ(monitor.poll_batch(500ms), 1u);
   EXPECT_EQ(monitor.reports_received(), 1u);
   ASSERT_EQ(store.sys_records().size(), 1u);
   EXPECT_EQ(store.sys_records()[0].host_str(), "a");
@@ -71,9 +71,9 @@ TEST(SystemMonitorTest, UpsertsByAddress) {
   auto r2 = sample_report("a", "1.1.1.1:1");
   r2.load1 = 0.9;
   sock->send_to(r1.to_wire(), monitor.endpoint());
+  EXPECT_EQ(monitor.poll_batch(500ms), 1u);
   sock->send_to(r2.to_wire(), monitor.endpoint());
-  EXPECT_TRUE(monitor.poll_once(500ms));
-  EXPECT_TRUE(monitor.poll_once(500ms));
+  EXPECT_EQ(monitor.poll_batch(500ms), 1u);
   ASSERT_EQ(store.sys_records().size(), 1u);
   EXPECT_DOUBLE_EQ(store.sys_records()[0].load1, 0.9);
 }
@@ -84,7 +84,7 @@ TEST(SystemMonitorTest, RejectsMalformedReports) {
   auto sock = net::UdpSocket::create();
   ASSERT_TRUE(sock);
   sock->send_to("garbage not a report", monitor.endpoint());
-  EXPECT_FALSE(monitor.poll_once(500ms));
+  EXPECT_EQ(monitor.poll_batch(500ms), 0u);
   EXPECT_EQ(monitor.reports_rejected(), 1u);
   EXPECT_TRUE(store.sys_records().empty());
 }
@@ -99,10 +99,10 @@ TEST(SystemMonitorTest, SweepsStaleRecords) {
   ASSERT_TRUE(sock);
 
   sock->send_to(sample_report("old", "1.1.1.1:1").to_wire(), monitor.endpoint());
-  ASSERT_TRUE(monitor.poll_once(500ms));
+  ASSERT_EQ(monitor.poll_batch(500ms), 1u);
   std::this_thread::sleep_for(100ms);  // exceed 3 intervals
   sock->send_to(sample_report("fresh", "1.1.1.2:1").to_wire(), monitor.endpoint());
-  ASSERT_TRUE(monitor.poll_once(500ms));
+  ASSERT_EQ(monitor.poll_batch(500ms), 1u);
 
   EXPECT_EQ(monitor.sweep_stale(), 1u);
   auto records = store.sys_records();

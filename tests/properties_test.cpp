@@ -123,6 +123,12 @@ struct EvalCase {
   bool expect_qualified;
 };
 
+// Without a printer gtest shows the raw bytes, pointer and padding included,
+// and ctest names each case after that, so the names changed with every build.
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << '"' << c.source << "\" cpu=" << c.cpu_free;
+}
+
 class EvalSweep : public testing::TestWithParam<EvalCase> {};
 
 TEST_P(EvalSweep, MatchesReference) {

@@ -6,6 +6,7 @@
 
 #include <dirent.h>
 
+#include <atomic>
 #include <thread>
 
 #include "apps/massd/file_server.h"
@@ -333,7 +334,7 @@ TEST(Quarantine, FlappingHostIsQuarantinedThenReadmitted) {
   std::string wire = flap_report("flappy").to_wire();
   auto deliver = [&] {
     EXPECT_TRUE(probe_socket->send_to(wire, monitor.endpoint()).ok());
-    return monitor.poll_once(1s);
+    return monitor.poll_batch(1s) == 1;
   };
 
   ASSERT_TRUE(deliver());  // baseline report
@@ -381,11 +382,66 @@ TEST(Quarantine, SteadyRejoinsBelowThresholdAreAdmitted) {
   std::string wire = flap_report("steady").to_wire();
   for (int cycle = 0; cycle < 5; ++cycle) {
     ASSERT_TRUE(probe_socket->send_to(wire, monitor.endpoint()).ok());
-    ASSERT_TRUE(monitor.poll_once(1s));
+    ASSERT_EQ(monitor.poll_batch(1s), 1u);
     std::this_thread::sleep_for(25ms);
     monitor.sweep_stale();
   }
   EXPECT_EQ(monitor.quarantine_trips(), 0u);
+}
+
+// --- monitor under stalled TCP reporters ---------------------------------------
+
+TEST(MonitorResilience, TcpReportersCannotStallUdpIngest) {
+  using Clock = std::chrono::steady_clock;
+  ipc::InMemoryStatusStore store;
+  monitor::SystemMonitor monitor(monitor::SystemMonitorConfig{}, store);
+  ASSERT_TRUE(monitor.valid());
+  ASSERT_TRUE(monitor.start());
+
+  // One reporter connects and says nothing; another trickles a byte every
+  // 500 ms and never ends its line.
+  Clock::time_point opened = Clock::now();
+  auto idle = net::TcpSocket::connect(monitor.tcp_endpoint(), 1s);
+  auto dripper = net::TcpSocket::connect(monitor.tcp_endpoint(), 1s);
+  ASSERT_TRUE(idle && dripper);
+  std::atomic<bool> dripping{true};
+  std::thread drip([&] {
+    while (dripping.load() && dripper->send_all("x").ok()) {
+      for (int i = 0; i < 50 && dripping.load(); ++i) std::this_thread::sleep_for(10ms);
+    }
+  });
+  std::this_thread::sleep_for(100ms);  // both connections accepted
+
+  // A UDP report still lands at once.
+  auto probe_socket = net::UdpSocket::create();
+  ASSERT_TRUE(probe_socket);
+  Clock::time_point sent = Clock::now();
+  ASSERT_TRUE(
+      probe_socket->send_to(flap_report("udp-host").to_wire(), monitor.endpoint()).ok());
+  while (monitor.reports_received() == 0 && Clock::now() - sent < 2s) {
+    std::this_thread::sleep_for(100us);
+  }
+  Clock::duration landed = Clock::now() - sent;
+  EXPECT_EQ(monitor.reports_received(), 1u);
+  EXPECT_LT(landed, 100ms) << "UDP report took "
+                           << std::chrono::duration<double, std::milli>(landed).count()
+                           << " ms behind the TCP reporters";
+
+  // The 1 s report deadline closes both connections and rejects their
+  // empty and cut-off reports.
+  while (monitor.reports_rejected() < 2 && Clock::now() - opened < 3s) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_EQ(monitor.reports_rejected(), 2u);
+  EXPECT_LT(Clock::now() - opened, 1500ms);
+  std::string byte;
+  idle->set_receive_timeout(1s);
+  EXPECT_EQ(idle->receive_exact(byte, 1).status, net::IoStatus::kClosed);
+
+  dripping.store(false);
+  drip.join();
+  monitor.stop();
+  EXPECT_EQ(store.sys_records().size(), 1u);
 }
 
 // --- stats server under stalled clients ----------------------------------------

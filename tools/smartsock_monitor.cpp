@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!store) {
-    // One store partition per ingest shard: shard threads upsert without
+    // One store partition per ingest shard: shard loops upsert without
     // sharing a mutex, readers get the epoch-consistent merged view.
     store = ingest_shards > 1
                 ? std::unique_ptr<ipc::StatusStore>(

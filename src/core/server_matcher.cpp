@@ -1,144 +1,185 @@
 #include "core/server_matcher.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <bit>
 #include <utility>
 
 namespace smartsock::core {
 
-lang::AttributeSet sys_record_attributes(const ipc::SysRecord& r) {
-  lang::AttributeSet attrs;
-  attrs["host_system_load1"] = r.load1;
-  attrs["host_system_load5"] = r.load5;
-  attrs["host_system_load15"] = r.load15;
-  attrs["host_cpu_user"] = r.cpu_user;
-  attrs["host_cpu_nice"] = r.cpu_nice;
-  attrs["host_cpu_system"] = r.cpu_system;
-  attrs["host_cpu_idle"] = r.cpu_idle;
-  attrs["host_cpu_free"] = r.cpu_idle;
-  attrs["host_cpu_bogomips"] = r.bogomips;
-  attrs["host_memory_total"] = r.mem_total_mb;
-  attrs["host_memory_used"] = r.mem_used_mb;
-  attrs["host_memory_free"] = r.mem_free_mb;
-  attrs["host_disk_allreq"] = r.disk_rreq_ps + r.disk_wreq_ps;
-  attrs["host_disk_rreq"] = r.disk_rreq_ps;
-  attrs["host_disk_rblocks"] = r.disk_rblocks_ps;
-  attrs["host_disk_wreq"] = r.disk_wreq_ps;
-  attrs["host_disk_wblocks"] = r.disk_wblocks_ps;
-  attrs["host_network_rbytesps"] = r.net_rbytes_ps;
-  attrs["host_network_rpacketsps"] = r.net_rpackets_ps;
-  attrs["host_network_tbytesps"] = r.net_tbytes_ps;
-  attrs["host_network_tpacketsps"] = r.net_tpackets_ps;
-  return attrs;
-}
-
 namespace {
 
-bool name_matches(const std::string& pattern, const std::string& host,
-                  const std::string& address) {
+using lang::ServerSlot;
+using Record = ipc::SysRecord;
+
+// The slot table: where each server slot's value comes from. The host_*
+// slots read the sysdb record (host_disk_allreq sums two fields);
+// host_security_level and monitor_* have no field here, RecordBinder binds
+// them from secdb and netdb.
+struct SlotSource {
+  ServerSlot slot;
+  double Record::*field = nullptr;
+  double Record::*plus = nullptr;
+};
+
+constexpr std::array<SlotSource, lang::kServerSlotCount> kSlotTable = {{
+    {ServerSlot::kSystemLoad1, &Record::load1},
+    {ServerSlot::kSystemLoad5, &Record::load5},
+    {ServerSlot::kSystemLoad15, &Record::load15},
+    {ServerSlot::kCpuUser, &Record::cpu_user},
+    {ServerSlot::kCpuNice, &Record::cpu_nice},
+    {ServerSlot::kCpuSystem, &Record::cpu_system},
+    {ServerSlot::kCpuIdle, &Record::cpu_idle},
+    {ServerSlot::kCpuFree, &Record::cpu_idle},  // the thesis: idle share of the interval
+    {ServerSlot::kCpuBogomips, &Record::bogomips},
+    {ServerSlot::kMemoryTotal, &Record::mem_total_mb},
+    {ServerSlot::kMemoryUsed, &Record::mem_used_mb},
+    {ServerSlot::kMemoryFree, &Record::mem_free_mb},
+    {ServerSlot::kDiskAllreq, &Record::disk_rreq_ps, &Record::disk_wreq_ps},
+    {ServerSlot::kDiskRreq, &Record::disk_rreq_ps},
+    {ServerSlot::kDiskRblocks, &Record::disk_rblocks_ps},
+    {ServerSlot::kDiskWreq, &Record::disk_wreq_ps},
+    {ServerSlot::kDiskWblocks, &Record::disk_wblocks_ps},
+    {ServerSlot::kNetworkRbytesps, &Record::net_rbytes_ps},
+    {ServerSlot::kNetworkRpacketsps, &Record::net_rpackets_ps},
+    {ServerSlot::kNetworkTbytesps, &Record::net_tbytes_ps},
+    {ServerSlot::kNetworkTpacketsps, &Record::net_tpackets_ps},
+    {ServerSlot::kSecurityLevel},
+    {ServerSlot::kNetworkBw},
+    {ServerSlot::kNetworkDelay},
+}};
+
+constexpr bool table_in_slot_order() {
+  for (std::size_t i = 0; i < kSlotTable.size(); ++i) {
+    if (static_cast<std::size_t>(kSlotTable[i].slot) != i) return false;
+  }
+  return true;
+}
+static_assert(table_in_slot_order(), "kSlotTable is indexed by lang::ServerSlot");
+
+// Slots a sysdb record binds by itself: every slot before host_security_level.
+constexpr lang::SlotMask kRecordSlots = lang::slot_bit(ServerSlot::kSecurityLevel) - 1;
+constexpr lang::SlotMask kNetworkSlots =
+    lang::slot_bit(ServerSlot::kNetworkBw) | lang::slot_bit(ServerSlot::kNetworkDelay);
+
+double read_field(const Record& record, const SlotSource& source) {
+  return source.plus ? record.*source.field + record.*source.plus : record.*source.field;
+}
+
+bool name_matches(std::string_view pattern, std::string_view host, std::string_view address) {
   if (pattern == host || pattern == address) return true;
   // Address without port ("1.2.3.4" vs "1.2.3.4:5000").
   std::size_t colon = address.rfind(':');
-  if (colon != std::string::npos && pattern == address.substr(0, colon)) return true;
+  if (colon != std::string_view::npos && pattern == address.substr(0, colon)) return true;
   // Fully qualified vs short host name ("sagit.ddns.comp.nus.edu.sg" vs
   // "sagit").
   std::size_t dot = pattern.find('.');
-  if (dot != std::string::npos && pattern.substr(0, dot) == host) return true;
-  return false;
+  return dot != std::string_view::npos && pattern.substr(0, dot) == host;
 }
 
-bool in_list(const std::vector<std::string>& patterns, const std::string& host,
-             const std::string& address) {
+bool in_list(const std::vector<std::string>& patterns, const Record& record) {
+  if (patterns.empty()) return false;
+  std::string_view host = record.host_view();
+  std::string_view address = record.address_view();
   return std::any_of(patterns.begin(), patterns.end(), [&](const std::string& p) {
     return name_matches(p, host, address);
   });
 }
 
-/// Everything the merge stage needs about one sys record, produced by the
+/// What the merge stage needs about one sys record, produced by the
 /// (possibly parallel) evaluation stage. Index-addressed so chunk scheduling
 /// cannot reorder anything.
 struct RecordOutcome {
-  std::string host;
-  std::string address;
+  double rank = 0.0;
+  bool has_rank = false;
   bool denied = false;
+  bool errored = false;
   bool qualified = false;
   bool preferred = false;
-  bool has_rank = false;
-  double rank = 0.0;
-  std::vector<std::string> diagnostics;
 };
 
 }  // namespace
+
+std::optional<double> record_slot_value(const ipc::SysRecord& record, lang::ServerSlot slot) {
+  const SlotSource& source = kSlotTable[static_cast<std::size_t>(slot)];
+  if (!source.field) return std::nullopt;
+  return read_field(record, source);
+}
+
+RecordBinder::RecordBinder(const MatchView& input, lang::SlotMask slots)
+    : record_slots_(slots & kRecordSlots),
+      security_((slots & lang::slot_bit(ServerSlot::kSecurityLevel)) != 0),
+      network_((slots & kNetworkSlots) != 0) {
+  // emplace keeps the first row per key: the first secdb row for a host and
+  // the first netdb row for a group win, as in the thesis's sequential scan.
+  if (security_) {
+    security_by_host_.reserve(input.sec.size());
+    for (const ipc::SecRecord& sec : input.sec) {
+      security_by_host_.emplace(sec.host_view(), static_cast<double>(sec.level));
+    }
+  }
+  if (network_) {
+    for (const ipc::NetRecord& net : input.net) {
+      if (net.from_view() == input.local_group) network_by_group_.emplace(net.to_view(), &net);
+    }
+  }
+}
+
+void RecordBinder::bind(const ipc::SysRecord& record, lang::Binding& binding) const {
+  for (lang::SlotMask bits = record_slots_; bits != 0; bits &= bits - 1) {
+    auto slot = static_cast<std::size_t>(std::countr_zero(bits));
+    binding.values[slot] = read_field(record, kSlotTable[slot]);
+  }
+  binding.bound = record_slots_;
+  if (security_) {
+    // Servers without a secdb row default to 0 — unknown clearance.
+    auto sec = security_by_host_.find(record.host_view());
+    binding.set(ServerSlot::kSecurityLevel, sec != security_by_host_.end() ? sec->second : 0.0);
+  }
+  if (network_) {
+    // Left unbound when unmeasured: a requirement that mentions
+    // monitor_network_bw then fails for that server, the safe direction.
+    auto net = network_by_group_.find(record.group_view());
+    if (net != network_by_group_.end()) {
+      binding.set(ServerSlot::kNetworkBw, net->second->bw_mbps);
+      binding.set(ServerSlot::kNetworkDelay, net->second->delay_ms);
+    }
+  }
+}
 
 ServerMatcher::ServerMatcher(std::size_t threads)
     : pool_(threads > 1 ? std::make_shared<util::ThreadPool>(threads - 1) : nullptr) {}
 
 MatchResult ServerMatcher::match(const lang::Requirement& requirement, const MatchView& input,
-                                 std::size_t count) const {
+                                 std::size_t count, Diagnostics diagnostics) const {
   MatchResult result;
   count = std::min(count, kMaxServersPerReply);
 
   const auto& preferred = requirement.preferred_hosts();
   const auto& denied = requirement.denied_hosts();
-
-  // Index secdb by host and netdb by destination group once per query
-  // instead of scanning both per record (the seed's O(records²) behavior).
-  // emplace keeps the first occurrence, matching the serial scan's
-  // first-match-wins semantics.
-  std::unordered_map<std::string, double> sec_by_host;
-  sec_by_host.reserve(input.sec.size());
-  for (const ipc::SecRecord& sec : input.sec) {
-    sec_by_host.emplace(sec.host_str(), static_cast<double>(sec.level));
-  }
-  std::unordered_map<std::string, std::pair<double, double>> net_by_group;  // bw, delay
-  net_by_group.reserve(input.net.size());
-  for (const ipc::NetRecord& net : input.net) {
-    if (net.from_str() == input.local_group) {
-      net_by_group.emplace(net.to_str(), std::make_pair(net.bw_mbps, net.delay_ms));
-    }
-  }
+  const RecordBinder binder(input, requirement.slots_read());
 
   // Stage 1 — per-record evaluation, data-parallel over contiguous index
-  // ranges when this matcher owns a pool.
+  // ranges when this matcher owns a pool. Each range owns its scratch.
   std::vector<RecordOutcome> outcomes(input.sys.size());
   auto evaluate_range = [&](std::size_t begin, std::size_t end) {
+    lang::EvalScratch scratch;
+    lang::Binding binding;
     for (std::size_t i = begin; i < end; ++i) {
       const ipc::SysRecord& record = input.sys[i];
       RecordOutcome& out = outcomes[i];
-      out.host = record.host_str();
-      out.address = record.address_str();
-
-      if (in_list(denied, out.host, out.address)) {  // blacklist is absolute
+      if (in_list(denied, record)) {  // blacklist is absolute
         out.denied = true;
         continue;
       }
-
-      lang::AttributeSet attrs = sys_record_attributes(record);
-
-      // Security level from secdb (servers without a record default to 0 —
-      // unknown clearance).
-      auto sec = sec_by_host.find(out.host);
-      attrs["host_security_level"] = sec != sec_by_host.end() ? sec->second : 0.0;
-
-      // Network metrics for the path local_group -> server group. Left
-      // unbound when unmeasured: a requirement that mentions
-      // monitor_network_bw then fails for that server, which is the safe
-      // direction.
-      auto net = net_by_group.find(record.group_str());
-      if (net != net_by_group.end()) {
-        attrs["monitor_network_bw"] = net->second.first;
-        attrs["monitor_network_delay"] = net->second.second;
-      }
-
-      lang::EvalOutcome outcome = requirement.evaluate(attrs);
-      for (const std::string& error : outcome.errors()) {
-        out.diagnostics.push_back(out.host + ": " + error);
-      }
-      if (!outcome.qualified) continue;
+      binder.bind(record, binding);
+      lang::Verdict verdict = requirement.evaluate(binding, scratch);
+      out.errored = verdict.errored;
+      if (!verdict.qualified) continue;
       out.qualified = true;
-      out.has_rank = outcome.rank.has_value();
-      out.rank = outcome.rank.value_or(0.0);
-      out.preferred = in_list(preferred, out.host, out.address);
+      out.has_rank = verdict.rank.has_value();
+      out.rank = verdict.rank.value_or(0.0);
+      out.preferred = in_list(preferred, record);
     }
   };
   if (pool_) {
@@ -150,29 +191,36 @@ MatchResult ServerMatcher::match(const lang::Requirement& requirement, const Mat
   // Stage 2 — serial merge in record order: byte-identical to the thesis's
   // sequential database scan regardless of how stage 1 was scheduled.
   struct Hit {
-    ServerEntry entry;
+    std::size_t index;
     double rank;
   };
+  std::size_t preferred_count = 0;
+  for (const RecordOutcome& out : outcomes) {
+    result.qualified += out.qualified;
+    preferred_count += out.preferred;
+  }
   std::vector<Hit> preferred_hits;
   std::vector<Hit> other_hits;
+  preferred_hits.reserve(preferred_count);
+  other_hits.reserve(result.qualified - preferred_count);
   bool ranked = false;
 
-  for (RecordOutcome& out : outcomes) {
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const RecordOutcome& out = outcomes[i];
     ++result.evaluated;
     if (out.denied) continue;
-    for (std::string& diagnostic : out.diagnostics) {
-      result.diagnostics.push_back(std::move(diagnostic));
+    if (diagnostics == Diagnostics::kCollect && out.errored) {
+      // Re-run the record with error text; only callers that ask pay for it.
+      lang::Binding binding;
+      binder.bind(input.sys[i], binding);
+      const std::string host = input.sys[i].host_str();
+      for (const std::string& error : requirement.explain(binding).errors()) {
+        result.diagnostics.push_back(host + ": " + error);
+      }
     }
     if (!out.qualified) continue;
-
-    ++result.qualified;
-    Hit hit{ServerEntry{std::move(out.host), std::move(out.address)}, out.rank};
     if (out.has_rank) ranked = true;
-    if (out.preferred) {
-      preferred_hits.push_back(std::move(hit));
-    } else {
-      other_hits.push_back(std::move(hit));
-    }
+    (out.preferred ? preferred_hits : other_hits).push_back(Hit{i, out.rank});
   }
 
   // The `rank_by` extension (thesis Ch. 6: "3 servers with largest memory"):
@@ -185,14 +233,14 @@ MatchResult ServerMatcher::match(const lang::Requirement& requirement, const Mat
     std::stable_sort(other_hits.begin(), other_hits.end(), by_rank);
   }
 
-  for (Hit& hit : preferred_hits) {
-    result.selected.push_back(std::move(hit.entry));
+  result.selected.reserve(std::min(count, result.qualified));
+  for (const auto* hits : {&preferred_hits, &other_hits}) {
+    for (const Hit& hit : *hits) {
+      if (result.selected.size() >= count) break;
+      const ipc::SysRecord& record = input.sys[hit.index];
+      result.selected.push_back(ServerEntry{record.host_str(), record.address_str()});
+    }
   }
-  for (Hit& hit : other_hits) {
-    if (result.selected.size() >= count) break;
-    result.selected.push_back(std::move(hit.entry));
-  }
-  if (result.selected.size() > count) result.selected.resize(count);
   return result;
 }
 

@@ -1,9 +1,9 @@
 // Server matcher — the wizard's selection core (§3.6.1 step 3, Fig 1.4).
 //
-// For every sysdb record the matcher assembles the full attribute set
-// (system status + security level from secdb + network metrics from netdb
-// keyed by the server's group), evaluates the compiled requirement, and
-// builds the candidate list:
+// For every sysdb record the matcher binds the slots the compiled
+// requirement reads (system status from the record, security level from
+// secdb, network metrics from netdb keyed by the server's group), evaluates
+// it, and builds the candidate list:
 //   * denied hosts (by name or address) are never selected;
 //   * preferred hosts that qualify are taken first (the thesis: "trusted
 //     servers will always be selected first when available");
@@ -11,12 +11,17 @@
 //     wizard scans the databases sequentially);
 //   * the list is truncated to the requested count, itself capped at the
 //     UDP reply limit of 60.
+// A record costs a few field reads and one pass over the compiled program:
+// no map, no string and no heap allocation. Host and address strings are
+// built only for the selected servers.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/wire.h"
@@ -55,11 +60,39 @@ struct MatchResult {
   std::vector<ServerEntry> selected;
   std::size_t evaluated = 0;
   std::size_t qualified = 0;
-  std::vector<std::string> diagnostics;  // per-server evaluation errors
+  /// Per-server evaluation errors, "host: line N: message", in record order.
+  /// Filled only when match() is asked for them.
+  std::vector<std::string> diagnostics;
 };
 
-/// Attribute set for one sysdb record (server-side variables only).
-lang::AttributeSet sys_record_attributes(const ipc::SysRecord& record);
+/// Whether match() builds MatchResult::diagnostics.
+enum class Diagnostics : bool { kSkip = false, kCollect = true };
+
+/// The slot table's record half: the value a sysdb record gives `slot`, or
+/// nullopt for the slots secdb and netdb supply (host_security_level,
+/// monitor_*).
+std::optional<double> record_slot_value(const ipc::SysRecord& record, lang::ServerSlot slot);
+
+/// Binds the slots a requirement reads for one record: the record's own
+/// fields, host_security_level from the first secdb row for the host (0
+/// without one), and monitor_* from the first netdb row local_group -> the
+/// record's group (unbound without one, so reading them is a statement
+/// error). The secdb and netdb indexes are built only when `slots` reads
+/// them. The viewed databases must outlive the binder.
+class RecordBinder {
+ public:
+  RecordBinder(const MatchView& input, lang::SlotMask slots);
+
+  /// Fills `binding` for `record` without allocating.
+  void bind(const ipc::SysRecord& record, lang::Binding& binding) const;
+
+ private:
+  lang::SlotMask record_slots_ = 0;
+  bool security_ = false;
+  bool network_ = false;
+  std::unordered_map<std::string_view, double> security_by_host_;
+  std::unordered_map<std::string_view, const ipc::NetRecord*> network_by_group_;
+};
 
 class ServerMatcher {
  public:
@@ -75,7 +108,7 @@ class ServerMatcher {
   std::size_t threads() const { return pool_ ? pool_->size() + 1 : 1; }
 
   MatchResult match(const lang::Requirement& requirement, const MatchView& input,
-                    std::size_t count) const;
+                    std::size_t count, Diagnostics diagnostics = Diagnostics::kSkip) const;
 
  private:
   // Workers beyond the calling thread; null selects the serial path. Shared

@@ -10,10 +10,4 @@ void copy_fixed(char* dst, std::size_t capacity, const std::string& src) {
   std::memset(dst + n, 0, capacity - n);
 }
 
-std::string read_fixed(const char* src, std::size_t capacity) {
-  std::size_t len = 0;
-  while (len < capacity && src[len] != '\0') ++len;
-  return std::string(src, len);
-}
-
 }  // namespace smartsock::ipc

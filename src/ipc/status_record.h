@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 namespace smartsock::ipc {
@@ -24,8 +25,15 @@ inline constexpr std::size_t kGroupLen = 16;
 /// Copies a string into a fixed char array, always NUL-terminated.
 void copy_fixed(char* dst, std::size_t capacity, const std::string& src);
 
+/// Views a fixed char array up to its first NUL, without copying.
+inline std::string_view fixed_view(const char* src, std::size_t capacity) {
+  return {src, ::strnlen(src, capacity)};
+}
+
 /// Reads a fixed char array back into a string.
-std::string read_fixed(const char* src, std::size_t capacity);
+inline std::string read_fixed(const char* src, std::size_t capacity) {
+  return std::string(fixed_view(src, capacity));
+}
 
 /// One server's system status (sysdb entry).
 struct SysRecord {
@@ -45,6 +53,9 @@ struct SysRecord {
   std::string host_str() const { return read_fixed(host, kHostNameLen); }
   std::string address_str() const { return read_fixed(address, kAddressLen); }
   std::string group_str() const { return read_fixed(group, kGroupLen); }
+  std::string_view host_view() const { return fixed_view(host, kHostNameLen); }
+  std::string_view address_view() const { return fixed_view(address, kAddressLen); }
+  std::string_view group_view() const { return fixed_view(group, kGroupLen); }
 };
 
 /// One network path's metrics (netdb entry): local group -> remote group.
@@ -57,6 +68,8 @@ struct NetRecord {
 
   std::string from_str() const { return read_fixed(from_group, kGroupLen); }
   std::string to_str() const { return read_fixed(to_group, kGroupLen); }
+  std::string_view from_view() const { return fixed_view(from_group, kGroupLen); }
+  std::string_view to_view() const { return fixed_view(to_group, kGroupLen); }
 };
 
 /// One server's security clearance (secdb entry).
@@ -67,6 +80,7 @@ struct SecRecord {
   std::uint64_t updated_ns = 0;
 
   std::string host_str() const { return read_fixed(host, kHostNameLen); }
+  std::string_view host_view() const { return fixed_view(host, kHostNameLen); }
 };
 
 static_assert(std::is_trivially_copyable_v<SysRecord>);

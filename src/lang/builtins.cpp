@@ -1,83 +1,82 @@
 #include "lang/builtins.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
 
 namespace smartsock::lang {
 
 namespace {
 
-using UnaryFn = double (*)(double);
-
-struct BuiltinSpec {
-  UnaryFn fn;
-  // Domain guard; returns an error message or empty string when fine.
-  const char* (*guard)(double);
-};
-
-const char* no_guard(double) { return ""; }
-const char* log_guard(double x) { return x <= 0.0 ? "argument must be positive" : ""; }
-const char* sqrt_guard(double x) { return x < 0.0 ? "argument must be non-negative" : ""; }
+const char* no_guard(double) { return nullptr; }
+const char* log_guard(double x) { return x <= 0.0 ? "argument must be positive" : nullptr; }
+const char* sqrt_guard(double x) { return x < 0.0 ? "argument must be non-negative" : nullptr; }
 const char* asin_guard(double x) {
-  return (x < -1.0 || x > 1.0) ? "argument must be in [-1, 1]" : "";
+  return (x < -1.0 || x > 1.0) ? "argument must be in [-1, 1]" : nullptr;
 }
 
 double integer_part(double x) { return std::trunc(x); }
 
-const std::map<std::string, BuiltinSpec, std::less<>>& table() {
-  static const std::map<std::string, BuiltinSpec, std::less<>> builtins = {
-      {"sin", {std::sin, no_guard}},
-      {"cos", {std::cos, no_guard}},
-      {"tan", {std::tan, no_guard}},
-      {"atan", {std::atan, no_guard}},
-      {"asin", {std::asin, asin_guard}},
-      {"acos", {std::acos, asin_guard}},
-      {"exp", {std::exp, no_guard}},
-      {"log", {std::log, log_guard}},
-      {"log10", {std::log10, log_guard}},
-      {"sqrt", {std::sqrt, sqrt_guard}},
-      {"abs", {std::fabs, no_guard}},
-      {"int", {integer_part, no_guard}},
-      {"floor", {std::floor, no_guard}},
-      {"ceil", {std::ceil, no_guard}},
-  };
+// Sorted by name: builtin_names() lists them in this order.
+const std::array<Builtin, 14>& table() {
+  static const std::array<Builtin, 14> builtins = {{
+      {"abs", std::fabs, no_guard},
+      {"acos", std::acos, asin_guard},
+      {"asin", std::asin, asin_guard},
+      {"atan", std::atan, no_guard},
+      {"ceil", std::ceil, no_guard},
+      {"cos", std::cos, no_guard},
+      {"exp", std::exp, no_guard},
+      {"floor", std::floor, no_guard},
+      {"int", integer_part, no_guard},
+      {"log", std::log, log_guard},
+      {"log10", std::log10, log_guard},
+      {"sin", std::sin, no_guard},
+      {"sqrt", std::sqrt, sqrt_guard},
+      {"tan", std::tan, no_guard},
+  }};
   return builtins;
 }
 
 }  // namespace
 
-bool is_builtin(std::string_view name) { return table().count(name) > 0; }
+const char* Builtin::apply(double argument, double* value) const {
+  if (const char* domain_error = guard(argument)) return domain_error;
+  *value = fn(argument);
+  return std::isfinite(*value) ? nullptr : "result overflow";
+}
+
+const Builtin* find_builtin(std::string_view name) {
+  const auto& builtins = table();
+  auto it = std::find_if(builtins.begin(), builtins.end(),
+                         [&](const Builtin& b) { return b.name == name; });
+  return it == builtins.end() ? nullptr : &*it;
+}
+
+bool is_builtin(std::string_view name) { return find_builtin(name) != nullptr; }
 
 const std::vector<std::string>& builtin_names() {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> out;
-    for (const auto& [name, spec] : table()) out.push_back(name);
+    for (const Builtin& builtin : table()) out.emplace_back(builtin.name);
     return out;
   }();
   return names;
 }
 
 BuiltinResult call_builtin(std::string_view name, double argument) {
-  auto it = table().find(name);
-  if (it == table().end()) {
-    return BuiltinResult::failure("unknown function '" + std::string(name) + "'");
-  }
-  const char* domain_error = it->second.guard(argument);
-  if (domain_error[0] != '\0') {
-    return BuiltinResult::failure(std::string(name) + ": " + domain_error);
-  }
-  double value = it->second.fn(argument);
-  if (!std::isfinite(value)) {
-    return BuiltinResult::failure(std::string(name) + ": result overflow");
+  const Builtin* builtin = find_builtin(name);
+  if (!builtin) return BuiltinResult::failure("unknown function '" + std::string(name) + "'");
+  double value = 0.0;
+  if (const char* reason = builtin->apply(argument, &value)) {
+    return BuiltinResult::failure(std::string(name) + ": " + reason);
   }
   return BuiltinResult::success(value);
 }
 
 BuiltinResult checked_pow(double base, double exponent) {
   double value = std::pow(base, exponent);
-  if (!std::isfinite(value)) {
-    return BuiltinResult::failure("'^': result not finite");
-  }
+  if (!std::isfinite(value)) return BuiltinResult::failure(std::string(kPowNotFinite));
   return BuiltinResult::success(value);
 }
 

@@ -13,6 +13,22 @@
 
 namespace smartsock::lang {
 
+/// One built-in function. The compiler resolves a call to its Builtin once;
+/// evaluation then applies it without allocating.
+struct Builtin {
+  std::string_view name;
+  double (*fn)(double);
+  /// Domain guard: the failure reason for `argument`, or nullptr when fine.
+  const char* (*guard)(double argument);
+
+  /// Applies the function: nullptr on success with `*value` set, otherwise
+  /// the failure reason ("argument must be positive", "result overflow").
+  const char* apply(double argument, double* value) const;
+};
+
+/// The text of the '^' operator's error (a non-finite result).
+inline constexpr std::string_view kPowNotFinite = "'^': result not finite";
+
 struct BuiltinResult {
   bool ok = false;
   double value = 0.0;
@@ -21,6 +37,9 @@ struct BuiltinResult {
   static BuiltinResult success(double v) { return {true, v, {}}; }
   static BuiltinResult failure(std::string message) { return {false, 0.0, std::move(message)}; }
 };
+
+/// The builtin called `name`, or nullptr.
+const Builtin* find_builtin(std::string_view name);
 
 /// True if `name` names a built-in function.
 bool is_builtin(std::string_view name);

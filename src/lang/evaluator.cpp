@@ -1,6 +1,8 @@
 #include "lang/evaluator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "lang/builtins.h"
 
@@ -20,6 +22,16 @@ std::vector<std::string> collect_slots(const std::map<std::string, std::string>&
   }
   return out;
 }
+
+// Statement errors known at compile time, in Instr::arg of kFail: a builtin
+// read as a variable, and assignments to read-only names, which fail before
+// their right-hand side runs.
+enum Failure : std::uint32_t {
+  kFunctionAsVariable,
+  kAssignServerVariable,
+  kAssignConstant,
+  kAssignBuiltin,
+};
 }  // namespace
 
 std::vector<std::string> UserParams::preferred() const {
@@ -38,214 +50,454 @@ std::vector<std::string> EvalOutcome::errors() const {
   return out;
 }
 
-EvalOutcome Evaluator::evaluate(const Program& program, const AttributeSet& attrs) {
-  attrs_ = &attrs;
-  temps_.clear();
-  params_ = UserParams();
+// --- compilation --------------------------------------------------------------
 
-  EvalOutcome outcome;
-  for (const Statement& statement : program.statements) {
-    errored_ = false;
-    error_.clear();
+class CompiledProgram::Compiler {
+ public:
+  explicit Compiler(CompiledProgram& out) : out_(out) {}
 
-    Value value = eval_expr(*statement.expr);
+  void statement(const Statement& statement) {
+    StatementCode code;
+    code.begin = static_cast<std::uint32_t>(out_.code_.size());
+    code.line = statement.line;
+    depth_ = 0;
+    expr(*statement.expr);
+    code.end = static_cast<std::uint32_t>(out_.code_.size());
+    out_.statements_.push_back(code);
+  }
 
-    StatementResult result;
-    result.line = statement.line;
-    result.value = value.number;
-    result.logical = value.logical;
-    result.errored = errored_;
-    result.error = error_;
-    outcome.statements.push_back(result);
+ private:
+  // `pops` values leave the stack and one result is pushed.
+  Instr& emit(Op code, const Expr& site, std::size_t pops) {
+    depth_ = depth_ - pops + 1;
+    out_.max_depth_ = std::max(out_.max_depth_, depth_);
+    Instr& instr = out_.code_.emplace_back();
+    instr.code = code;
+    instr.site = &site;
+    return instr;
+  }
 
-    if (errored_) {
-      // Conservative: a statement the wizard cannot evaluate must not let a
-      // server through.
-      outcome.qualified = false;
-    } else if (value.logical && value.number == 0.0) {
-      outcome.qualified = false;  // server_ok *= $2
+  void expr(const Expr& e) {
+    switch (e.kind) {
+      case ExprKind::kNumber:
+        emit(Op::kNumber, e, 0).number = e.number;
+        return;
+      case ExprKind::kNetAddr:
+        emit(Op::kHost, e, 0).host = host(e.name);
+        return;
+      case ExprKind::kVar:
+        variable(e);
+        return;
+      case ExprKind::kAssign:
+        assignment(e);
+        return;
+      case ExprKind::kBinary:
+        if (compare_slot(e)) return;
+        expr(*e.children[0]);
+        expr(*e.children[1]);
+        emit(Op::kBinary, e, 2).op = e.op;
+        return;
+      case ExprKind::kUnaryMinus:
+        expr(*e.children[0]);
+        emit(Op::kNegate, e, 1);
+        return;
+      case ExprKind::kCall:
+        expr(*e.children[0]);
+        emit(Op::kCall, e, 1).builtin = find_builtin(e.name);
+        return;
     }
   }
-  outcome.params = params_;
-  outcome.rank = temps_.lookup("rank_by");
+
+  // `server_variable REL number`, the shape of nearly every requirement
+  // statement, becomes one instruction. A comparison cannot fail, so the
+  // only error left is the variable's own, reported at the variable.
+  bool compare_slot(const Expr& e) {
+    const Expr& lhs = *e.children[0];
+    if (!is_logical_op(e.op) || e.op == BinaryOp::kAnd || e.op == BinaryOp::kOr) return false;
+    if (lhs.kind != ExprKind::kVar) return false;
+    auto slot = find_server_slot(lhs.name);
+    auto number = literal(*e.children[1]);
+    if (!slot || !number) return false;
+    Instr& compare = emit(Op::kCompareSlot, lhs, 0);
+    compare.arg = static_cast<std::uint32_t>(*slot);
+    compare.op = e.op;
+    compare.number = *number;
+    out_.slots_read_ |= slot_bit(*slot);
+    return true;
+  }
+
+  // The value of a number literal, negated any number of times.
+  static std::optional<double> literal(const Expr& e) {
+    if (e.kind == ExprKind::kNumber) return e.number;
+    if (e.kind != ExprKind::kUnaryMinus) return std::nullopt;
+    auto operand = literal(*e.children[0]);
+    if (!operand) return std::nullopt;
+    return -*operand;
+  }
+
+  void variable(const Expr& e) {
+    const std::string& name = e.name;
+    if (is_user_variable(name)) {
+      // Reading back a host slot yields truthy 1, mirroring hoc's UPARAM ->
+      // u.val access.
+      emit(Op::kNumber, e, 0).number = 1.0;
+    } else if (auto slot = find_server_slot(name)) {
+      emit(Op::kSlot, e, 0).arg = static_cast<std::uint32_t>(*slot);
+      out_.slots_read_ |= slot_bit(*slot);
+    } else if (auto constant = constant_value(name)) {
+      emit(Op::kNumber, e, 0).number = *constant;
+    } else if (is_builtin(name)) {
+      emit(Op::kFail, e, 0).arg = kFunctionAsVariable;
+    } else {
+      emit(Op::kName, e, 0).arg = temp(name);
+    }
+  }
+
+  void assignment(const Expr& e) {
+    const std::string& target = e.name;
+    const Expr& rhs = *e.children[0];
+
+    if (auto slot = user_slot_index(target)) {
+      // Host slots capture names syntactically: a bare identifier or NETADDR
+      // on the right-hand side is the host, not a value to evaluate.
+      if (rhs.kind == ExprKind::kNetAddr || rhs.kind == ExprKind::kVar) {
+        Instr& capture = emit(Op::kCaptureHost, e, 0);
+        capture.arg = static_cast<std::uint32_t>(*slot);
+        capture.host = host(rhs.name);
+      } else {
+        expr(rhs);
+        emit(Op::kSetHostSlot, e, 1).arg = static_cast<std::uint32_t>(*slot);
+      }
+      return;
+    }
+    if (find_server_slot(target)) {
+      emit(Op::kFail, e, 0).arg = kAssignServerVariable;
+    } else if (constant_value(target)) {
+      emit(Op::kFail, e, 0).arg = kAssignConstant;
+    } else if (is_builtin(target)) {
+      emit(Op::kFail, e, 0).arg = kAssignBuiltin;
+    } else {
+      expr(rhs);
+      emit(Op::kSetTemp, e, 1).arg = temp(target);
+    }
+  }
+
+  std::int32_t host(const std::string& text) {
+    auto [it, added] = hosts_.emplace(text, static_cast<std::int32_t>(out_.hosts_.size()));
+    if (added) out_.hosts_.push_back(text);
+    return it->second;
+  }
+
+  std::uint32_t temp(const std::string& name) {
+    auto [it, added] = temps_.emplace(name, static_cast<std::uint32_t>(out_.temps_.size()));
+    if (added) {
+      if (name == "rank_by") out_.rank_temp_ = static_cast<std::int32_t>(it->second);
+      out_.temps_.push_back(name);
+    }
+    return it->second;
+  }
+
+  CompiledProgram& out_;
+  std::unordered_map<std::string, std::int32_t> hosts_;
+  std::unordered_map<std::string, std::uint32_t> temps_;
+  std::size_t depth_ = 0;
+};
+
+CompiledProgram::CompiledProgram(Program program) : program_(std::move(program)) {
+  Compiler compiler(*this);
+  for (const Statement& statement : program_.statements) compiler.statement(statement);
+}
+
+// --- evaluation -----------------------------------------------------------------
+
+namespace {
+
+using Value = EvalScratch::Value;
+
+const double* find_extension(const Binding& binding, const std::string& name) {
+  if (!binding.extensions) return nullptr;
+  auto it = binding.extensions->find(name);
+  return it == binding.extensions->end() ? nullptr : &it->second;
+}
+
+Value truth(bool holds) { return Value{holds ? 1.0 : 0.0, -1, /*logical=*/true}; }
+
+// Whether relation `op` holds for a and b. Branch-free on the data: the
+// outcome (less, equal, greater or unordered) is tested against the
+// outcomes the relation accepts, indexed by BinaryOp.
+bool compare(BinaryOp op, double a, double b) {
+  static constexpr std::uint8_t kAccepted[] = {
+      0, 0, 0, 0, 0, 0, 0,  // + - * / ^ && ||
+      2,                    // ==
+      1 | 4 | 8,            // !=
+      1,                    // <
+      1 | 2,                // <=
+      4,                    // >
+      4 | 2,                // >=
+  };
+  const unsigned outcome = static_cast<unsigned>(a < b) | static_cast<unsigned>(a == b) << 1 |
+                           static_cast<unsigned>(a > b) << 2 |
+                           static_cast<unsigned>(std::isunordered(a, b)) << 3;
+  return (outcome & kAccepted[static_cast<std::size_t>(op)]) != 0;
+}
+
+// Applies a binary operator to two evaluated operands; false on an error
+// (division by zero, a non-finite power).
+bool apply_binary(BinaryOp op, const Value& lhs, const Value& rhs, Value* out) {
+  const double a = lhs.number;
+  const double b = rhs.number;
+  switch (op) {
+    case BinaryOp::kAdd:
+      *out = Value{a + b};
+      return true;
+    case BinaryOp::kSub:
+      *out = Value{a - b};
+      return true;
+    case BinaryOp::kMul:
+      *out = Value{a * b};
+      return true;
+    case BinaryOp::kDiv:
+      if (b == 0.0) return false;
+      *out = Value{a / b};
+      return true;
+    case BinaryOp::kPow:
+      *out = Value{std::pow(a, b)};
+      return std::isfinite(out->number);
+    case BinaryOp::kAnd:
+      *out = truth((a != 0.0) & (b != 0.0));
+      return true;
+    case BinaryOp::kOr:
+      *out = truth((a != 0.0) | (b != 0.0));
+      return true;
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+      if (lhs.host >= 0 && rhs.host >= 0) {
+        // Host addresses compare as strings; interned, so by index.
+        *out = truth((lhs.host == rhs.host) == (op == BinaryOp::kEq));
+        return true;
+      }
+      break;
+    default:
+      break;
+  }
+  *out = truth(compare(op, a, b));
+  return true;
+}
+
+}  // namespace
+
+Verdict CompiledProgram::evaluate(const Binding& binding, EvalScratch& scratch) const {
+  return run<false>(binding, scratch, nullptr);
+}
+
+EvalOutcome CompiledProgram::explain(const Binding& binding) const {
+  EvalScratch scratch;
+  EvalOutcome outcome;
+  run<true>(binding, scratch, &outcome);
   return outcome;
 }
 
-void Evaluator::raise(const Expr& at, const std::string& message) {
-  if (errored_) return;  // keep the first error
-  errored_ = true;
-  error_ = message + " in '" + at.to_string() + "'";
+template <bool kDetailed>
+Verdict CompiledProgram::run(const Binding& binding, EvalScratch& scratch,
+                             EvalOutcome* outcome) const {
+  if (scratch.stack_.size() < max_depth_) scratch.stack_.resize(max_depth_);
+  if (scratch.temps_.size() < temps_.size()) {
+    scratch.temps_.resize(temps_.size());
+    scratch.assigned_.resize(temps_.size());
+  }
+  std::fill_n(scratch.assigned_.begin(), temps_.size(), std::uint8_t{0});
+  if constexpr (kDetailed) scratch.captured_.fill(-1);  // read back only here
+
+  Value* stack = scratch.stack_.data();
+  Verdict verdict;
+  for (const StatementCode& statement : statements_) {
+    // No early exit on error: the yacc grammar evaluates both operands of
+    // every operator, so side effects (user-side host assignments) run even
+    // after a sibling subtree failed. Only the first error is kept, and an
+    // operator evaluated after it yields 0.
+    std::size_t top = 0;
+    const Instr* error_at = nullptr;
+    const char* reason = nullptr;
+    auto raise = [&](const Instr& at, const char* why = nullptr) {
+      if (error_at) return;
+      error_at = &at;
+      reason = why;
+    };
+
+    for (std::uint32_t pc = statement.begin; pc < statement.end; ++pc) {
+      const Instr& in = code_[pc];
+      switch (in.code) {
+        case Op::kNumber:
+          stack[top++] = Value{in.number};
+          break;
+        case Op::kHost:
+          stack[top++] = Value{1.0, in.host};
+          break;
+        case Op::kSlot:
+          if (binding.bound & (SlotMask{1} << in.arg)) {
+            stack[top++] = Value{binding.values[in.arg]};
+          } else {
+            raise(in);
+            stack[top++] = Value{};
+          }
+          break;
+        case Op::kCompareSlot: {
+          Value value;
+          if (!(binding.bound & (SlotMask{1} << in.arg))) {
+            raise(in);
+          } else if (!error_at) {
+            value = truth(compare(in.op, binding.values[in.arg], in.number));
+          }
+          stack[top++] = value;
+          break;
+        }
+        case Op::kName: {
+          Value value;
+          if (scratch.assigned_[in.arg]) {
+            value.number = scratch.temps_[in.arg];
+          } else if (const double* extension = find_extension(binding, temps_[in.arg])) {
+            value.number = *extension;
+          } else {
+            raise(in);
+          }
+          stack[top++] = value;
+          break;
+        }
+        case Op::kFail:
+          raise(in);
+          stack[top++] = Value{};
+          break;
+        case Op::kCaptureHost:
+          scratch.captured_[in.arg] = in.host;
+          stack[top++] = Value{1.0};
+          break;
+        case Op::kNegate:
+          stack[top - 1] = Value{-stack[top - 1].number};
+          break;
+        case Op::kCall: {
+          Value& value = stack[top - 1];
+          double result = 0.0;
+          if (!error_at) {
+            if (!in.builtin) {
+              raise(in);
+            } else if (const char* why = in.builtin->apply(value.number, &result)) {
+              raise(in, why);
+              result = 0.0;
+            }
+          }
+          value = Value{result};
+          break;
+        }
+        case Op::kSetTemp: {
+          Value& value = stack[top - 1];
+          if (error_at) {
+            value = Value{};
+          } else if (value.host >= 0) {
+            raise(in);
+            value = Value{};
+          } else {
+            scratch.temps_[in.arg] = value.number;
+            scratch.assigned_[in.arg] = 1;
+            value = Value{value.number};  // assignment clears the logic flag
+          }
+          break;
+        }
+        case Op::kSetHostSlot: {
+          Value& value = stack[top - 1];
+          if (error_at) {
+            value = Value{};
+          } else if (value.host < 0) {
+            raise(in);
+            value = Value{};
+          } else {
+            scratch.captured_[in.arg] = value.host;
+            value = Value{1.0};
+          }
+          break;
+        }
+        case Op::kBinary: {
+          const Value rhs = stack[--top];
+          Value& lhs = stack[top - 1];
+          if (error_at) {
+            lhs = Value{};
+          } else if (!apply_binary(in.op, lhs, rhs, &lhs)) {
+            raise(in);
+            lhs = Value{};
+          }
+          break;
+        }
+      }
+    }
+
+    const Value& result = stack[0];
+    const bool errored = error_at != nullptr;
+    if (errored || (result.logical && result.number == 0.0)) verdict.qualified = false;
+    verdict.errored = verdict.errored || errored;
+    if constexpr (kDetailed) {
+      StatementResult& out = outcome->statements.emplace_back();
+      out.line = statement.line;
+      out.value = result.number;
+      out.logical = result.logical;
+      out.errored = errored;
+      if (errored) out.error = describe(*error_at, reason);
+    }
+  }
+
+  if (rank_temp_ >= 0 && scratch.assigned_[static_cast<std::size_t>(rank_temp_)]) {
+    verdict.rank = scratch.temps_[static_cast<std::size_t>(rank_temp_)];
+  }
+  if constexpr (kDetailed) {
+    outcome->qualified = verdict.qualified;
+    outcome->rank = verdict.rank;
+    const auto& slot_names = user_variable_names();
+    for (std::size_t slot = 0; slot < scratch.captured_.size(); ++slot) {
+      if (scratch.captured_[slot] >= 0) {
+        outcome->params.set_slot(slot_names[slot],
+                                 hosts_[static_cast<std::size_t>(scratch.captured_[slot])]);
+      }
+    }
+  }
+  return verdict;
 }
 
-Evaluator::Value Evaluator::eval_expr(const Expr& expr) {
-  // No early-exit on error: the yacc grammar evaluates both operands of
-  // every operator, so side effects (user-side host assignments) must run
-  // even when a sibling subtree already failed. raise() keeps the first
-  // error; an errored statement disqualifies the server regardless of the
-  // values computed after the error.
-  switch (expr.kind) {
-    case ExprKind::kNumber:
-      return Value::numeric(expr.number);
-    case ExprKind::kNetAddr:
-      return Value::address(expr.name);
-    case ExprKind::kVar:
-      return eval_var(expr);
-    case ExprKind::kAssign:
-      return eval_assign(expr);
-    case ExprKind::kBinary:
-      return eval_binary(expr);
-    case ExprKind::kUnaryMinus: {
-      Value operand = eval_expr(*expr.children[0]);
-      return Value::numeric(-operand.number);
-    }
-    case ExprKind::kCall: {
-      Value argument = eval_expr(*expr.children[0]);
-      if (errored_) return Value::numeric(0.0);
-      BuiltinResult result = call_builtin(expr.name, argument.number);
-      if (!result.ok) {
-        raise(expr, result.error);
-        return Value::numeric(0.0);
+std::string CompiledProgram::describe(const Instr& at, const char* reason) const {
+  const std::string& name = at.site->name;
+  std::string message;
+  switch (at.code) {
+    case Op::kSlot:
+    case Op::kCompareSlot:
+      message = "server variable '" + name + "' has no value in this report";
+      break;
+    case Op::kName:
+      message = "undefined variable '" + name + "'";
+      break;
+    case Op::kCall:
+      message = reason ? name + ": " + reason : "unknown function '" + name + "'";
+      break;
+    case Op::kBinary:
+      message = at.op == BinaryOp::kDiv ? std::string("division by 0") : std::string(kPowNotFinite);
+      break;
+    case Op::kSetTemp:
+      message = "cannot store a host address in temp variable '" + name + "'";
+      break;
+    case Op::kSetHostSlot:
+      message = "'" + name + "' must be assigned a host name or address";
+      break;
+    case Op::kFail:
+      if (at.arg == kFunctionAsVariable) {
+        message = "'" + name + "' is a function; call it with parentheses";
+      } else {
+        static const char* const kTargets[] = {"server-side variable", "constant",
+                                               "built-in function"};
+        message = std::string("cannot assign to ") + kTargets[at.arg - kAssignServerVariable] +
+                  " '" + name + "'";
       }
-      return Value::numeric(result.value);
-    }
+      break;
+    default:
+      message = "internal: unexpected error site";
+      break;
   }
-  raise(expr, "internal: unknown expression kind");
-  return Value::numeric(0.0);
-}
-
-Evaluator::Value Evaluator::eval_var(const Expr& expr) {
-  const std::string& name = expr.name;
-  switch (classify_symbol(name, *attrs_, temps_)) {
-    case SymbolClass::kServerVar: {
-      auto it = attrs_->find(name);
-      if (it == attrs_->end()) {
-        raise(expr, "server variable '" + name + "' has no value in this report");
-        return Value::numeric(0.0);
-      }
-      return Value::numeric(it->second);
-    }
-    case SymbolClass::kUserParam:
-      // Reading back a host slot yields truthy 1 if it was set this
-      // evaluation, mirroring hoc's UPARAM -> u.val access.
-      return Value::numeric(1.0);
-    case SymbolClass::kConstant:
-      return Value::numeric(*constant_value(name));
-    case SymbolClass::kTemp:
-      return Value::numeric(*temps_.lookup(name));
-    case SymbolClass::kBuiltin:
-      raise(expr, "'" + name + "' is a function; call it with parentheses");
-      return Value::numeric(0.0);
-    case SymbolClass::kUndefined:
-      raise(expr, "undefined variable '" + name + "'");
-      return Value::numeric(0.0);
-  }
-  raise(expr, "internal: unknown symbol class");
-  return Value::numeric(0.0);
-}
-
-Evaluator::Value Evaluator::eval_assign(const Expr& expr) {
-  const std::string& target = expr.name;
-  const Expr& rhs = *expr.children[0];
-
-  if (is_user_variable(target)) {
-    // Host slots capture names syntactically: a bare identifier or NETADDR on
-    // the right-hand side is the host, not a value to evaluate.
-    std::string host;
-    if (rhs.kind == ExprKind::kNetAddr || rhs.kind == ExprKind::kVar) {
-      host = rhs.name;
-    } else {
-      Value value = eval_expr(rhs);
-      if (errored_) return Value::numeric(0.0);
-      host = value.is_host ? value.host : std::string();
-      if (host.empty()) {
-        raise(expr, "'" + target + "' must be assigned a host name or address");
-        return Value::numeric(0.0);
-      }
-    }
-    params_.set_slot(target, host);
-    return Value::numeric(1.0);  // truthy so it composes with '&&'
-  }
-
-  if (is_server_variable(target) || is_monitor_variable(target)) {
-    raise(expr, "cannot assign to server-side variable '" + target + "'");
-    return Value::numeric(0.0);
-  }
-  if (constant_value(target)) {
-    raise(expr, "cannot assign to constant '" + target + "'");
-    return Value::numeric(0.0);
-  }
-  if (is_builtin(target)) {
-    raise(expr, "cannot assign to built-in function '" + target + "'");
-    return Value::numeric(0.0);
-  }
-
-  Value value = eval_expr(rhs);
-  if (errored_) return Value::numeric(0.0);
-  if (value.is_host) {
-    raise(expr, "cannot store a host address in temp variable '" + target + "'");
-    return Value::numeric(0.0);
-  }
-  temps_.assign(target, value.number);
-  // Assignment propagates the value but clears the logic flag (yacc: asgn
-  // sets logic = 0).
-  return Value::numeric(value.number);
-}
-
-Evaluator::Value Evaluator::eval_binary(const Expr& expr) {
-  Value lhs = eval_expr(*expr.children[0]);
-  Value rhs = eval_expr(*expr.children[1]);
-  if (errored_) return Value::numeric(0.0);
-
-  // Host addresses compare as strings under == and !=; under any other
-  // operator they coerce to their numeric value (1).
-  if ((expr.op == BinaryOp::kEq || expr.op == BinaryOp::kNe) && lhs.is_host && rhs.is_host) {
-    bool equal = lhs.host == rhs.host;
-    bool result = expr.op == BinaryOp::kEq ? equal : !equal;
-    return Value::numeric(result ? 1.0 : 0.0, /*logic=*/true);
-  }
-
-  double a = lhs.number;
-  double b = rhs.number;
-  switch (expr.op) {
-    case BinaryOp::kAdd:
-      return Value::numeric(a + b);
-    case BinaryOp::kSub:
-      return Value::numeric(a - b);
-    case BinaryOp::kMul:
-      return Value::numeric(a * b);
-    case BinaryOp::kDiv:
-      if (b == 0.0) {
-        raise(expr, "division by 0");
-        return Value::numeric(0.0);
-      }
-      return Value::numeric(a / b);
-    case BinaryOp::kPow: {
-      BuiltinResult result = checked_pow(a, b);
-      if (!result.ok) {
-        raise(expr, result.error);
-        return Value::numeric(0.0);
-      }
-      return Value::numeric(result.value);
-    }
-    case BinaryOp::kAnd:
-      return Value::numeric((a != 0.0 && b != 0.0) ? 1.0 : 0.0, true);
-    case BinaryOp::kOr:
-      return Value::numeric((a != 0.0 || b != 0.0) ? 1.0 : 0.0, true);
-    case BinaryOp::kEq:
-      return Value::numeric(a == b ? 1.0 : 0.0, true);
-    case BinaryOp::kNe:
-      return Value::numeric(a != b ? 1.0 : 0.0, true);
-    case BinaryOp::kLt:
-      return Value::numeric(a < b ? 1.0 : 0.0, true);
-    case BinaryOp::kLe:
-      return Value::numeric(a <= b ? 1.0 : 0.0, true);
-    case BinaryOp::kGt:
-      return Value::numeric(a > b ? 1.0 : 0.0, true);
-    case BinaryOp::kGe:
-      return Value::numeric(a >= b ? 1.0 : 0.0, true);
-  }
-  raise(expr, "internal: unknown operator");
-  return Value::numeric(0.0);
+  return message + " in '" + at.site->to_string() + "'";
 }
 
 }  // namespace smartsock::lang

@@ -85,9 +85,16 @@ bool Lexer::tokenize(std::vector<Token>& out, LexError& error) {
         error = {"malformed number or address '" + lexeme + "'", token_line_, token_column_};
         return false;
       }
+      // Well-formed digits can still miss the double range, e.g. 400 nines
+      // or a fraction with 400 leading zeros.
+      auto number = util::parse_double(lexeme);
+      if (!number) {
+        error = {"number '" + lexeme + "' does not fit in a double", token_line_, token_column_};
+        return false;
+      }
       Token token;
       token.type = TokenType::kNumber;
-      token.number = *util::parse_double(lexeme);
+      token.number = *number;
       token.line = token_line_;
       token.column = token_column_;
       out.push_back(std::move(token));

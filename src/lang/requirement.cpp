@@ -9,17 +9,18 @@ std::optional<Requirement> Requirement::compile(std::string_view source, std::st
   Requirement requirement;
   requirement.source_ = std::string(source);
 
+  Program program;
   ParseError parse_error;
-  if (!Parser::parse_source(source, requirement.program_, parse_error)) {
+  if (!Parser::parse_source(source, program, parse_error)) {
     if (error) *error = parse_error.to_string();
     return std::nullopt;
   }
+  requirement.program_ = CompiledProgram(std::move(program));
 
-  // Harvest user-side host slots with an attribute-free pre-pass. Statements
-  // that touch server variables error out here; that is fine — only the
-  // captured params are kept.
-  Evaluator evaluator;
-  EvalOutcome outcome = evaluator.evaluate(requirement.program_, AttributeSet{});
+  // Harvest user-side host slots with a pre-pass that binds nothing.
+  // Statements that touch server variables error out here; that is fine —
+  // only the captured params are kept.
+  EvalOutcome outcome = requirement.program_.explain(Binding{});
   requirement.preferred_ = outcome.params.preferred();
   requirement.denied_ = outcome.params.denied();
   return requirement;
@@ -37,8 +38,15 @@ std::optional<Requirement> Requirement::load_file(const std::string& path, std::
 }
 
 EvalOutcome Requirement::evaluate(const AttributeSet& attrs) const {
-  Evaluator evaluator;
-  return evaluator.evaluate(program_, attrs);
+  Binding binding;
+  binding.extensions = &attrs;
+  for (std::size_t i = 0; i < kServerSlotCount; ++i) {
+    auto slot = static_cast<ServerSlot>(i);
+    if (!(slots_read() & slot_bit(slot))) continue;
+    auto it = attrs.find(server_slot_name(slot));
+    if (it != attrs.end()) binding.set(slot, it->second);
+  }
+  return program_.explain(binding);
 }
 
 }  // namespace smartsock::lang

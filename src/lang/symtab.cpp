@@ -1,38 +1,59 @@
 #include "lang/symtab.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "lang/builtins.h"
+#include <array>
 
 namespace smartsock::lang {
 
+namespace {
+
+// Indexed by ServerSlot.
+constexpr std::array<std::string_view, kServerSlotCount> kSlotNames = {
+    // /proc/loadavg
+    "host_system_load1", "host_system_load5", "host_system_load15",
+    // /proc/stat cpu line (rates in [0,1]) + hardware speed
+    "host_cpu_user", "host_cpu_nice", "host_cpu_system", "host_cpu_idle",
+    "host_cpu_free", "host_cpu_bogomips",
+    // /proc/meminfo, in MB
+    "host_memory_total", "host_memory_used", "host_memory_free",
+    // /proc/stat disk_io
+    "host_disk_allreq", "host_disk_rreq", "host_disk_rblocks",
+    "host_disk_wreq", "host_disk_wblocks",
+    // /proc/net/dev, bytes/packets per second
+    "host_network_rbytesps", "host_network_rpacketsps",
+    "host_network_tbytesps", "host_network_tpacketsps",
+    // security monitor clearance level
+    "host_security_level",
+    // network monitor: available bandwidth (Mbps) and delay (ms) to the
+    // server's group
+    "monitor_network_bw", "monitor_network_delay",
+};
+
+constexpr std::size_t kFirstMonitorSlot = static_cast<std::size_t>(ServerSlot::kNetworkBw);
+
+std::vector<std::string> slot_names(std::size_t begin, std::size_t end) {
+  return {kSlotNames.begin() + begin, kSlotNames.begin() + end};
+}
+
+}  // namespace
+
+std::string_view server_slot_name(ServerSlot slot) {
+  return kSlotNames[static_cast<std::size_t>(slot)];
+}
+
+std::optional<ServerSlot> find_server_slot(std::string_view name) {
+  auto it = std::find(kSlotNames.begin(), kSlotNames.end(), name);
+  if (it == kSlotNames.end()) return std::nullopt;
+  return static_cast<ServerSlot>(it - kSlotNames.begin());
+}
+
 const std::vector<std::string>& server_variable_names() {
-  static const std::vector<std::string> names = {
-      // /proc/loadavg
-      "host_system_load1", "host_system_load5", "host_system_load15",
-      // /proc/stat cpu line (rates in [0,1]) + hardware speed
-      "host_cpu_user", "host_cpu_nice", "host_cpu_system", "host_cpu_idle",
-      "host_cpu_free", "host_cpu_bogomips",
-      // /proc/meminfo, in MB
-      "host_memory_total", "host_memory_used", "host_memory_free",
-      // /proc/stat disk_io
-      "host_disk_allreq", "host_disk_rreq", "host_disk_rblocks",
-      "host_disk_wreq", "host_disk_wblocks",
-      // /proc/net/dev, bytes/packets per second
-      "host_network_rbytesps", "host_network_rpacketsps",
-      "host_network_tbytesps", "host_network_tpacketsps",
-      // security monitor clearance level
-      "host_security_level",
-  };
+  static const std::vector<std::string> names = slot_names(0, kFirstMonitorSlot);
   return names;
 }
 
 const std::vector<std::string>& monitor_variable_names() {
-  static const std::vector<std::string> names = {
-      "monitor_network_bw",     // available bandwidth to the server's group, Mbps
-      "monitor_network_delay",  // network delay to the server's group, ms
-  };
+  static const std::vector<std::string> names = slot_names(kFirstMonitorSlot, kServerSlotCount);
   return names;
 }
 
@@ -46,21 +67,24 @@ const std::vector<std::string>& user_variable_names() {
   return names;
 }
 
-namespace {
-bool contains(const std::vector<std::string>& names, std::string_view name) {
-  return std::find(names.begin(), names.end(), name) != names.end();
-}
-}  // namespace
-
 bool is_server_variable(std::string_view name) {
-  return contains(server_variable_names(), name);
+  auto slot = find_server_slot(name);
+  return slot && static_cast<std::size_t>(*slot) < kFirstMonitorSlot;
 }
 
 bool is_monitor_variable(std::string_view name) {
-  return contains(monitor_variable_names(), name);
+  auto slot = find_server_slot(name);
+  return slot && static_cast<std::size_t>(*slot) >= kFirstMonitorSlot;
 }
 
-bool is_user_variable(std::string_view name) { return contains(user_variable_names(), name); }
+std::optional<std::size_t> user_slot_index(std::string_view name) {
+  const auto& names = user_variable_names();
+  auto it = std::find(names.begin(), names.end(), name);
+  if (it == names.end()) return std::nullopt;
+  return static_cast<std::size_t>(it - names.begin());
+}
+
+bool is_user_variable(std::string_view name) { return user_slot_index(name).has_value(); }
 
 bool is_preferred_slot(std::string_view name) {
   return name.rfind("user_preferred_host", 0) == 0;
@@ -75,19 +99,6 @@ std::optional<double> constant_value(std::string_view name) {
   if (name == "DEG") return 57.29577951308232087680;   // degrees per radian
   if (name == "PHI") return 1.61803398874989484820;    // golden ratio
   return std::nullopt;
-}
-
-SymbolClass classify_symbol(std::string_view name, const AttributeSet& attrs,
-                            const TempScope& temps) {
-  if (is_user_variable(name)) return SymbolClass::kUserParam;
-  if (is_server_variable(name) || is_monitor_variable(name)) return SymbolClass::kServerVar;
-  if (constant_value(name)) return SymbolClass::kConstant;
-  if (is_builtin(name)) return SymbolClass::kBuiltin;
-  if (temps.lookup(std::string(name))) return SymbolClass::kTemp;
-  // A name present in the attribute set but not predefined still resolves —
-  // the thesis calls adding new parameters "a standard procedure" (Ch. 7).
-  if (attrs.count(std::string(name))) return SymbolClass::kServerVar;
-  return SymbolClass::kUndefined;
 }
 
 }  // namespace smartsock::lang

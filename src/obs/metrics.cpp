@@ -235,12 +235,12 @@ void MetricsRegistry::remove_collector(std::uint64_t id) {
   collectors_.erase(id);
 }
 
-std::vector<util::ComponentUsage> MetricsRegistry::traffic_usage(double window_seconds) const {
-  std::map<std::string, util::ComponentUsage> merged;
+std::vector<ComponentUsage> MetricsRegistry::traffic_usage(double window_seconds) const {
+  std::map<std::string, ComponentUsage> merged;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [component, counter] : traffic_) {
-      util::ComponentUsage& usage = merged[component];
+      ComponentUsage& usage = merged[component];
       usage.component = component;
       usage.bytes_sent += counter->bytes_sent();
       usage.bytes_received += counter->bytes_received();
@@ -248,7 +248,7 @@ std::vector<util::ComponentUsage> MetricsRegistry::traffic_usage(double window_s
       usage.messages_received += counter->messages_received();
     }
   }
-  std::vector<util::ComponentUsage> out;
+  std::vector<ComponentUsage> out;
   out.reserve(merged.size());
   for (auto& [name, usage] : merged) {
     if (window_seconds > 0) {
@@ -404,7 +404,7 @@ std::string Snapshot::to_json(bool pretty) const {
 
   out << pad << "\"traffic\": {";
   for (std::size_t i = 0; i < traffic.size(); ++i) {
-    const util::ComponentUsage& usage = traffic[i];
+    const ComponentUsage& usage = traffic[i];
     if (i) out << ", ";
     out << nl << pad << pad << "\"" << json_escape(usage.component)
         << "\": {\"bytes_sent\": " << usage.bytes_sent
@@ -475,7 +475,7 @@ std::string Snapshot::to_prometheus() const {
       header.emit(family, "counter", "Per-component traffic accounting.");
     }
   }
-  for (const util::ComponentUsage& usage : traffic) {
+  for (const ComponentUsage& usage : traffic) {
     std::string component = prom_escape_label_value(usage.component);
     out << "smartsock_traffic_bytes_sent_total{component=\"" << component << "\"} "
         << usage.bytes_sent << "\n";
@@ -524,7 +524,7 @@ std::string Snapshot::to_text() const {
   }
   if (!traffic.empty()) {
     out << "\ntraffic:\n";
-    for (const util::ComponentUsage& usage : traffic) {
+    for (const ComponentUsage& usage : traffic) {
       out << "  " << usage.component << ": sent=" << usage.bytes_sent << "B/"
           << usage.messages_sent << "msg recv=" << usage.bytes_received << "B/"
           << usage.messages_received << "msg\n";

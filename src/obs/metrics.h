@@ -84,6 +84,17 @@ struct HistogramStats {
   std::vector<std::pair<double, std::uint64_t>> buckets;
 };
 
+/// Traffic of every socket owner registered under one component name.
+struct ComponentUsage {
+  std::string component;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t bytes_received = 0;
+  std::uint64_t messages_sent = 0;
+  std::uint64_t messages_received = 0;
+  double send_rate_kbps = 0.0;     // KB per second over the sampled window
+  double receive_rate_kbps = 0.0;  // KB per second over the sampled window
+};
+
 /// Point-in-time copy of every registered metric.
 struct Snapshot {
   std::uint64_t wall_us = 0;  // system clock, µs since the Unix epoch
@@ -93,7 +104,7 @@ struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramStats> histograms;
-  std::vector<util::ComponentUsage> traffic;  // merged by component name
+  std::vector<ComponentUsage> traffic;  // merged by component name
 
   /// {"ts_us":..,"rss_kb":..,"counters":{..},"gauges":{..},
   ///  "histograms":{name:{count,mean_us,p50_us,p90_us,p99_us,buckets:[[ub,n]..]}},
@@ -130,8 +141,7 @@ class MetricsRegistry {
 
   /// Traffic accounting for one socket owner. Unlike the metrics above,
   /// every call creates a fresh counter — many probes register as
-  /// "system_probe" and their traffic is summed at snapshot time (the
-  /// util::TrafficRegistry contract, migrated here).
+  /// "system_probe" and their traffic is summed at snapshot time.
   util::TrafficCounter* traffic(const std::string& component);
 
   /// Dynamic metrics: a collector runs at snapshot time and may append
@@ -146,7 +156,7 @@ class MetricsRegistry {
 
   /// Traffic merged by component with send/receive rates over `window`
   /// seconds — the Table-5.2 resource-usage view the benches print.
-  std::vector<util::ComponentUsage> traffic_usage(double window_seconds) const;
+  std::vector<ComponentUsage> traffic_usage(double window_seconds) const;
 
   /// Zeroes every metric (bench phase boundaries). Registration survives.
   void reset_all();

@@ -113,30 +113,4 @@ std::optional<StatusReport> StatusReport::from_wire(std::string_view wire) {
   return report;
 }
 
-lang::AttributeSet StatusReport::to_attributes() const {
-  lang::AttributeSet attrs;
-  attrs["host_system_load1"] = load1;
-  attrs["host_system_load5"] = load5;
-  attrs["host_system_load15"] = load15;
-  attrs["host_cpu_user"] = cpu_user;
-  attrs["host_cpu_nice"] = cpu_nice;
-  attrs["host_cpu_system"] = cpu_system;
-  attrs["host_cpu_idle"] = cpu_idle;
-  attrs["host_cpu_free"] = cpu_free();
-  attrs["host_cpu_bogomips"] = bogomips;
-  attrs["host_memory_total"] = mem_total_mb;
-  attrs["host_memory_used"] = mem_used_mb;
-  attrs["host_memory_free"] = mem_free_mb;
-  attrs["host_disk_allreq"] = disk_rreq_ps + disk_wreq_ps;
-  attrs["host_disk_rreq"] = disk_rreq_ps;
-  attrs["host_disk_rblocks"] = disk_rblocks_ps;
-  attrs["host_disk_wreq"] = disk_wreq_ps;
-  attrs["host_disk_wblocks"] = disk_wblocks_ps;
-  attrs["host_network_rbytesps"] = net_rbytes_ps;
-  attrs["host_network_rpacketsps"] = net_rpackets_ps;
-  attrs["host_network_tbytesps"] = net_tbytes_ps;
-  attrs["host_network_tpacketsps"] = net_tpackets_ps;
-  return attrs;
-}
-
 }  // namespace smartsock::probe

@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "lang/symtab.h"
-
 namespace smartsock::probe {
 
 struct StatusReport {
@@ -68,11 +66,6 @@ struct StatusReport {
 
   /// Parses the wire format; nullopt on malformed input or wrong version.
   static std::optional<StatusReport> from_wire(std::string_view wire);
-
-  /// Binds the report to the requirement language's server-side variables
-  /// (host_system_load1, host_cpu_free, ...). `security_level` and the
-  /// monitor_* variables are added by the wizard from secdb/netdb.
-  lang::AttributeSet to_attributes() const;
 
   /// host_cpu_free as defined by the thesis: idle share of the interval.
   double cpu_free() const { return cpu_idle; }

@@ -8,46 +8,6 @@
 
 namespace smartsock::util {
 
-TrafficRegistry& TrafficRegistry::instance() {
-  static TrafficRegistry registry;
-  return registry;
-}
-
-TrafficCounter* TrafficRegistry::register_component(const std::string& component) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.push_back(Entry{component, std::make_unique<TrafficCounter>()});
-  return entries_.back().counter.get();
-}
-
-std::vector<ComponentUsage> TrafficRegistry::snapshot(double window_seconds) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, ComponentUsage> merged;
-  for (const Entry& entry : entries_) {
-    ComponentUsage& usage = merged[entry.component];
-    usage.component = entry.component;
-    usage.bytes_sent += entry.counter->bytes_sent();
-    usage.bytes_received += entry.counter->bytes_received();
-    usage.messages_sent += entry.counter->messages_sent();
-    usage.messages_received += entry.counter->messages_received();
-  }
-  std::vector<ComponentUsage> out;
-  out.reserve(merged.size());
-  for (auto& [name, usage] : merged) {
-    if (window_seconds > 0) {
-      usage.send_rate_kbps = static_cast<double>(usage.bytes_sent) / 1024.0 / window_seconds;
-      usage.receive_rate_kbps =
-          static_cast<double>(usage.bytes_received) / 1024.0 / window_seconds;
-    }
-    out.push_back(std::move(usage));
-  }
-  return out;
-}
-
-void TrafficRegistry::reset_all() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& entry : entries_) entry.counter->reset();
-}
-
 namespace {
 
 // Bucket i ends at kGrowth^(i+1) µs; kGrowth^256 ≈ 1e7 µs (10 s).

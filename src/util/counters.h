@@ -3,13 +3,12 @@
 // Table 5.2 of the paper reports per-component CPU / memory / network
 // bandwidth usage. The paper measured with `top` and a libpcap dumper; we
 // instrument the components directly: every socket wrapper owns a
-// TrafficCounter, and the resource-usage bench reads the registry.
+// TrafficCounter handed out by obs::MetricsRegistry::traffic(), and the
+// resource-usage benches read obs::MetricsRegistry::traffic_usage().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,43 +47,6 @@ class TrafficCounter {
   std::atomic<std::uint64_t> bytes_received_{0};
   std::atomic<std::uint64_t> msgs_sent_{0};
   std::atomic<std::uint64_t> msgs_received_{0};
-};
-
-struct ComponentUsage {
-  std::string component;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_received = 0;
-  double send_rate_kbps = 0.0;     // KB per second over the sampled window
-  double receive_rate_kbps = 0.0;  // KB per second over the sampled window
-};
-
-/// Named registry of counters; components register themselves by name.
-/// Multiple components may share a name (e.g. 11 probes register as
-/// "system_probe"); their traffic is summed on read.
-class TrafficRegistry {
- public:
-  static TrafficRegistry& instance();
-
-  /// Returns a counter bound to `component`. The registry owns the counter;
-  /// the pointer stays valid for the process lifetime.
-  TrafficCounter* register_component(const std::string& component);
-
-  /// Snapshot of all components, with rates computed over `window` seconds.
-  std::vector<ComponentUsage> snapshot(double window_seconds) const;
-
-  /// Zeroes every counter (used between bench phases).
-  void reset_all();
-
- private:
-  struct Entry {
-    std::string component;
-    std::unique_ptr<TrafficCounter> counter;
-  };
-
-  mutable std::mutex mu_;
-  std::vector<Entry> entries_;
 };
 
 /// Lock-free latency histogram for per-query accounting (wizard fast path).

@@ -251,7 +251,8 @@ TEST(Matcher, MissingNetRecordFailsNetworkRequirement) {
   input.local_group = "client";
   input.sys = {sys_record("unmeasured", 0.95, 200, "groupZ")};
   ServerMatcher matcher;
-  auto result = matcher.match(compile("monitor_network_bw > 1"), input, 10);
+  auto result =
+      matcher.match(compile("monitor_network_bw > 1"), input, 10, Diagnostics::kCollect);
   EXPECT_TRUE(result.selected.empty());
   EXPECT_FALSE(result.diagnostics.empty());
 }

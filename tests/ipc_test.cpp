@@ -5,6 +5,8 @@
 
 #include <thread>
 
+#include <unistd.h>
+
 #include "ipc/in_memory_store.h"
 #include "ipc/sysv_store.h"
 
@@ -136,19 +138,27 @@ TEST(InMemoryStore, ConcurrentWritersDoNotCorrupt) {
 
 // --- SysV store -------------------------------------------------------------------
 
+// Keys unique to this process: ctest runs every case as its own process,
+// concurrently, and a key shared between two of them would let one case's
+// TearDown remove the segments the other is using.
+SysVKeys process_keys() {
+  const int base = 0x40000000 + static_cast<int>(::getpid()) * 4;
+  return {base, base + 1, base + 2};
+}
+
 class SysVStoreTest : public testing::Test {
  protected:
-  static constexpr SysVKeys kTestKeys{58123, 58124, 58125};
+  const SysVKeys keys_ = process_keys();
 
   void SetUp() override {
-    store_ = SysVStatusStore::create(kTestKeys, 16, 16, 16);
+    store_ = SysVStatusStore::create(keys_, 16, 16, 16);
     if (!store_) {
       GTEST_SKIP() << "SysV IPC unavailable in this environment";
     }
   }
   void TearDown() override {
     store_.reset();
-    SysVStatusStore::remove_system_objects(kTestKeys);
+    SysVStatusStore::remove_system_objects(keys_);
   }
 
   std::unique_ptr<SysVStatusStore> store_;
@@ -159,7 +169,7 @@ TEST_F(SysVStoreTest, Contract) { run_store_contract(*store_); }
 TEST_F(SysVStoreTest, SecondAttachSeesData) {
   store_->clear();
   store_->put_sys(make_sys("shared", "9.9.9.9:1", 1));
-  auto second = SysVStatusStore::create(kTestKeys, 16, 16, 16);
+  auto second = SysVStatusStore::create(keys_, 16, 16, 16);
   ASSERT_TRUE(second);
   auto records = second->sys_records();
   ASSERT_EQ(records.size(), 1u);

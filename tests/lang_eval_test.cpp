@@ -1,18 +1,26 @@
 // Evaluator tests against the semantics of thesis Fig 4.2 / §3.6.1.
+//
+// Every case runs twice: through the compiled evaluator (by name binding)
+// and through the reference tree-walker. The two must agree on every
+// statement; the compiled outcome is the one the assertions check.
 #include <gtest/gtest.h>
 
-#include "lang/evaluator.h"
-#include "lang/parser.h"
+#include "lang/requirement.h"
+#include "outcome_checks.h"
+#include "reference_lang.h"
 
 namespace smartsock::lang {
 namespace {
 
 EvalOutcome eval(std::string_view source, const AttributeSet& attrs = {}) {
-  Program program;
-  ParseError error;
-  EXPECT_TRUE(Parser::parse_source(source, program, error)) << error.to_string();
-  Evaluator evaluator;
-  return evaluator.evaluate(program, attrs);
+  std::string error;
+  auto requirement = Requirement::compile(source, &error);
+  EXPECT_TRUE(requirement) << error;
+  if (!requirement) return {};
+  EvalOutcome compiled = requirement->evaluate(attrs);
+  SCOPED_TRACE(std::string(source));
+  reference::expect_same_outcome(compiled, reference::evaluate(source, attrs));
+  return compiled;
 }
 
 // --- logic-flag semantics ---------------------------------------------------
@@ -134,13 +142,14 @@ TEST(Eval, TempVariablePersistsAcrossStatements) {
 }
 
 TEST(Eval, TempVariableFreshPerEvaluation) {
-  Program program;
-  ParseError error;
-  ASSERT_TRUE(Parser::parse_source("stale > 0", program, error));
-  Evaluator evaluator;
-  // First evaluation defines nothing; 'stale' must be undefined both times.
-  EXPECT_FALSE(evaluator.evaluate(program, {}).qualified);
-  EXPECT_FALSE(evaluator.evaluate(program, {}).qualified);
+  // The first evaluation assigns 'stale' only after reading it; a reused
+  // scratch must not carry that value into the next evaluation, so 'stale'
+  // is undefined both times.
+  auto requirement = Requirement::compile("stale > 0\nstale = 1\n");
+  ASSERT_TRUE(requirement);
+  EvalScratch scratch;
+  EXPECT_FALSE(requirement->evaluate(Binding{}, scratch).qualified);
+  EXPECT_FALSE(requirement->evaluate(Binding{}, scratch).qualified);
 }
 
 TEST(Eval, Constants) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "lang/lexer.h"
+#include "lang/requirement.h"
 
 namespace smartsock::lang {
 namespace {
@@ -181,6 +182,37 @@ TEST(Lexer, ErrorOnMalformedDottedNumber) {
   std::vector<Token> tokens;
   LexError error;
   EXPECT_FALSE(lexer.tokenize(tokens, error));
+}
+
+TEST(Lexer, NumberOutsideDoubleRangeIsError) {
+  // Well-formed digits that std::from_chars cannot represent: too large,
+  // and too small to round to anything but zero. Both fail to compile with
+  // an error naming the literal, so the requirement cache caches them as
+  // negative entries.
+  const std::string huge(400, '9');
+  const std::string tiny = "0." + std::string(400, '0') + "1";
+  for (const std::string& literal : {huge, tiny}) {
+    const std::string source = "host_cpu_free > " + literal;
+    Lexer lexer(source);
+    std::vector<Token> tokens;
+    LexError error;
+    EXPECT_FALSE(lexer.tokenize(tokens, error));
+    EXPECT_NE(error.message.find(literal), std::string::npos) << error.message;
+
+    std::string compile_error;
+    EXPECT_FALSE(Requirement::compile("host_cpu_free > " + literal + "\n", &compile_error));
+    EXPECT_NE(compile_error.find("does not fit in a double"), std::string::npos)
+        << compile_error;
+  }
+}
+
+TEST(Lexer, LongNumberInRangeStillLexes) {
+  auto tokens = lex_ok("1" + std::string(299, '0'));  // 300 digits: 1e299
+  ASSERT_EQ(tokens[0].type, TokenType::kNumber);
+  EXPECT_DOUBLE_EQ(tokens[0].number, 1e299);
+  auto requirement = Requirement::compile("host_cpu_free < 1" + std::string(299, '0') + "\n");
+  ASSERT_TRUE(requirement);
+  EXPECT_TRUE(requirement->qualifies({{"host_cpu_free", 0.5}}));
 }
 
 TEST(Lexer, ThesisSampleRequirementLexes) {

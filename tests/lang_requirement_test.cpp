@@ -6,9 +6,15 @@
 
 #include "lang/builtins.h"
 #include "lang/requirement.h"
+#include "reference_lang.h"
 
 namespace smartsock::lang {
 namespace {
+
+// Runtime name classification lives only in the reference evaluator.
+using reference::classify_symbol;
+using reference::SymbolClass;
+using reference::TempScope;
 
 TEST(Requirement, CompileValid) {
   std::string error;

@@ -1,6 +1,8 @@
 // Probe tests: procfs parsers, wire format, rate computation, UDP reporting.
 #include <gtest/gtest.h>
 
+#include "core/server_matcher.h"
+#include "monitor/system_monitor.h"
 #include "net/udp_socket.h"
 #include "probe/proc_reader.h"
 #include "probe/server_probe.h"
@@ -187,16 +189,22 @@ TEST(StatusReportWire, SkipsUnknownKeysForForwardCompat) {
 }
 
 TEST(StatusReportAttrs, BindsServerVariables) {
-  // The probe report binds 21 of the 22 server-side variables; the 22nd
-  // (host_security_level) comes from secdb and is bound by the wizard.
-  auto attrs = sample_report().to_attributes();
-  EXPECT_EQ(attrs.size(), 21u);
-  EXPECT_EQ(attrs.count("host_security_level"), 0u);
-  EXPECT_DOUBLE_EQ(attrs.at("host_system_load1"), 0.25);
-  EXPECT_DOUBLE_EQ(attrs.at("host_cpu_free"), 0.75);
-  EXPECT_DOUBLE_EQ(attrs.at("host_cpu_bogomips"), 4771.02);
-  EXPECT_DOUBLE_EQ(attrs.at("host_memory_free"), 381.5);
-  EXPECT_DOUBLE_EQ(attrs.at("host_network_tbytesps"), 200000.0);
+  // Through the monitor's sysdb record, the matcher's slot table binds 21 of
+  // the 22 server-side variables; the 22nd (host_security_level) comes from
+  // secdb and is bound by the wizard.
+  ipc::SysRecord record = monitor::to_sys_record(sample_report(), 0);
+  auto value = [&](std::string_view name) {
+    return core::record_slot_value(record, *lang::find_server_slot(name));
+  };
+  std::size_t bound = 0;
+  for (const std::string& name : lang::server_variable_names()) bound += value(name).has_value();
+  EXPECT_EQ(bound, 21u);
+  EXPECT_FALSE(value("host_security_level"));
+  EXPECT_DOUBLE_EQ(*value("host_system_load1"), 0.25);
+  EXPECT_DOUBLE_EQ(*value("host_cpu_free"), 0.75);
+  EXPECT_DOUBLE_EQ(*value("host_cpu_bogomips"), 4771.02);
+  EXPECT_DOUBLE_EQ(*value("host_memory_free"), 381.5);
+  EXPECT_DOUBLE_EQ(*value("host_network_tbytesps"), 200000.0);
 }
 
 // --- rate computation ----------------------------------------------------------

@@ -160,8 +160,9 @@ TEST(RequirementCache, CachedRequirementSelectsIdenticalServers) {
 
   MatchInput input = mixed_input(64);
   ServerMatcher matcher;
-  MatchResult from_cache = matcher.match(*cached.requirement, input, 12);
-  MatchResult from_fresh = matcher.match(fresh, input, 12);
+  MatchResult from_cache =
+      matcher.match(*cached.requirement, input, 12, Diagnostics::kCollect);
+  MatchResult from_fresh = matcher.match(fresh, input, 12, Diagnostics::kCollect);
 
   EXPECT_EQ(from_cache.selected, from_fresh.selected);
   EXPECT_EQ(from_cache.evaluated, from_fresh.evaluated);
@@ -192,13 +193,13 @@ TEST(ParallelMatcher, IdenticalToSerialOnMixedRecords) {
   MatchInput input = mixed_input(257);  // odd size: uneven chunk split
 
   ServerMatcher serial;
-  MatchResult expected = serial.match(requirement, input, 30);
+  MatchResult expected = serial.match(requirement, input, 30, Diagnostics::kCollect);
   EXPECT_GT(expected.selected.size(), 0u);
 
   for (std::size_t threads : {2u, 3u, 8u}) {
     ServerMatcher parallel(threads);
     EXPECT_EQ(parallel.threads(), threads);
-    expect_identical(parallel.match(requirement, input, 30), expected);
+    expect_identical(parallel.match(requirement, input, 30, Diagnostics::kCollect), expected);
   }
 }
 
@@ -210,9 +211,9 @@ TEST(ParallelMatcher, IdenticalDiagnosticsForErroringRequirement) {
 
   ServerMatcher serial;
   ServerMatcher parallel(4);
-  MatchResult expected = serial.match(requirement, input, 60);
+  MatchResult expected = serial.match(requirement, input, 60, Diagnostics::kCollect);
   EXPECT_FALSE(expected.diagnostics.empty());
-  expect_identical(parallel.match(requirement, input, 60), expected);
+  expect_identical(parallel.match(requirement, input, 60, Diagnostics::kCollect), expected);
 }
 
 TEST(ParallelMatcher, HandlesEmptyAndTinyInputs) {

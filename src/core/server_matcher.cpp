@@ -100,12 +100,6 @@ struct RecordOutcome {
 
 }  // namespace
 
-std::optional<double> record_slot_value(const ipc::SysRecord& record, lang::ServerSlot slot) {
-  const SlotSource& source = kSlotTable[static_cast<std::size_t>(slot)];
-  if (!source.field) return std::nullopt;
-  return read_field(record, source);
-}
-
 RecordBinder::RecordBinder(const MatchView& input, lang::SlotMask slots)
     : record_slots_(slots & kRecordSlots),
       security_((slots & lang::slot_bit(ServerSlot::kSecurityLevel)) != 0),

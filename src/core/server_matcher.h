@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -67,11 +66,6 @@ struct MatchResult {
 
 /// Whether match() builds MatchResult::diagnostics.
 enum class Diagnostics : bool { kSkip = false, kCollect = true };
-
-/// The slot table's record half: the value a sysdb record gives `slot`, or
-/// nullopt for the slots secdb and netdb supply (host_security_level,
-/// monitor_*).
-std::optional<double> record_slot_value(const ipc::SysRecord& record, lang::ServerSlot slot);
 
 /// Binds the slots a requirement reads for one record: the record's own
 /// fields, host_security_level from the first secdb row for the host (0

@@ -92,7 +92,6 @@ class CompiledProgram::Compiler {
         assignment(e);
         return;
       case ExprKind::kBinary:
-        if (compare_slot(e)) return;
         expr(*e.children[0]);
         expr(*e.children[1]);
         emit(Op::kBinary, e, 2).op = e.op;
@@ -106,33 +105,6 @@ class CompiledProgram::Compiler {
         emit(Op::kCall, e, 1).builtin = find_builtin(e.name);
         return;
     }
-  }
-
-  // `server_variable REL number`, the shape of nearly every requirement
-  // statement, becomes one instruction. A comparison cannot fail, so the
-  // only error left is the variable's own, reported at the variable.
-  bool compare_slot(const Expr& e) {
-    const Expr& lhs = *e.children[0];
-    if (!is_logical_op(e.op) || e.op == BinaryOp::kAnd || e.op == BinaryOp::kOr) return false;
-    if (lhs.kind != ExprKind::kVar) return false;
-    auto slot = find_server_slot(lhs.name);
-    auto number = literal(*e.children[1]);
-    if (!slot || !number) return false;
-    Instr& compare = emit(Op::kCompareSlot, lhs, 0);
-    compare.arg = static_cast<std::uint32_t>(*slot);
-    compare.op = e.op;
-    compare.number = *number;
-    out_.slots_read_ |= slot_bit(*slot);
-    return true;
-  }
-
-  // The value of a number literal, negated any number of times.
-  static std::optional<double> literal(const Expr& e) {
-    if (e.kind == ExprKind::kNumber) return e.number;
-    if (e.kind != ExprKind::kUnaryMinus) return std::nullopt;
-    auto operand = literal(*e.children[0]);
-    if (!operand) return std::nullopt;
-    return -*operand;
   }
 
   void variable(const Expr& e) {
@@ -222,30 +194,13 @@ const double* find_extension(const Binding& binding, const std::string& name) {
 
 Value truth(bool holds) { return Value{holds ? 1.0 : 0.0, -1, /*logical=*/true}; }
 
-// Whether relation `op` holds for a and b. Branch-free on the data: the
-// outcome (less, equal, greater or unordered) is tested against the
-// outcomes the relation accepts, indexed by BinaryOp.
-bool compare(BinaryOp op, double a, double b) {
-  static constexpr std::uint8_t kAccepted[] = {
-      0, 0, 0, 0, 0, 0, 0,  // + - * / ^ && ||
-      2,                    // ==
-      1 | 4 | 8,            // !=
-      1,                    // <
-      1 | 2,                // <=
-      4,                    // >
-      4 | 2,                // >=
-  };
-  const unsigned outcome = static_cast<unsigned>(a < b) | static_cast<unsigned>(a == b) << 1 |
-                           static_cast<unsigned>(a > b) << 2 |
-                           static_cast<unsigned>(std::isunordered(a, b)) << 3;
-  return (outcome & kAccepted[static_cast<std::size_t>(op)]) != 0;
-}
-
 // Applies a binary operator to two evaluated operands; false on an error
 // (division by zero, a non-finite power).
 bool apply_binary(BinaryOp op, const Value& lhs, const Value& rhs, Value* out) {
   const double a = lhs.number;
   const double b = rhs.number;
+  // Host addresses compare as strings under == and !=; interned, so by index.
+  const bool hosts = lhs.host >= 0 && rhs.host >= 0;
   switch (op) {
     case BinaryOp::kAdd:
       *out = Value{a + b};
@@ -270,18 +225,25 @@ bool apply_binary(BinaryOp op, const Value& lhs, const Value& rhs, Value* out) {
       *out = truth((a != 0.0) | (b != 0.0));
       return true;
     case BinaryOp::kEq:
+      *out = truth(hosts ? lhs.host == rhs.host : a == b);
+      return true;
     case BinaryOp::kNe:
-      if (lhs.host >= 0 && rhs.host >= 0) {
-        // Host addresses compare as strings; interned, so by index.
-        *out = truth((lhs.host == rhs.host) == (op == BinaryOp::kEq));
-        return true;
-      }
-      break;
-    default:
-      break;
+      *out = truth(hosts ? lhs.host != rhs.host : a != b);
+      return true;
+    case BinaryOp::kLt:
+      *out = truth(a < b);
+      return true;
+    case BinaryOp::kLe:
+      *out = truth(a <= b);
+      return true;
+    case BinaryOp::kGt:
+      *out = truth(a > b);
+      return true;
+    case BinaryOp::kGe:
+      *out = truth(a >= b);
+      return true;
   }
-  *out = truth(compare(op, a, b));
-  return true;
+  return false;
 }
 
 }  // namespace
@@ -341,16 +303,6 @@ Verdict CompiledProgram::run(const Binding& binding, EvalScratch& scratch,
             stack[top++] = Value{};
           }
           break;
-        case Op::kCompareSlot: {
-          Value value;
-          if (!(binding.bound & (SlotMask{1} << in.arg))) {
-            raise(in);
-          } else if (!error_at) {
-            value = truth(compare(in.op, binding.values[in.arg], in.number));
-          }
-          stack[top++] = value;
-          break;
-        }
         case Op::kName: {
           Value value;
           if (scratch.assigned_[in.arg]) {
@@ -465,7 +417,6 @@ std::string CompiledProgram::describe(const Instr& at, const char* reason) const
   std::string message;
   switch (at.code) {
     case Op::kSlot:
-    case Op::kCompareSlot:
       message = "server variable '" + name + "' has no value in this report";
       break;
     case Op::kName:

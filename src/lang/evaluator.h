@@ -153,7 +153,6 @@ class CompiledProgram {
     kNumber,        // push `number`
     kHost,          // push host literal `host`
     kSlot,          // push server slot `arg`; error when unbound
-    kCompareSlot,   // push (server slot `arg` `op` `number`): `slot < 0.5` fused
     kName,          // push temp `arg`, else the extension of that name; error when neither
     kFail,          // a statement error known at compile time (`arg`: which)
     kNegate,

@@ -1,5 +1,6 @@
 // Probe tests: procfs parsers, wire format, rate computation, UDP reporting.
 #include <gtest/gtest.h>
+#include <bit>
 
 #include "core/server_matcher.h"
 #include "monitor/system_monitor.h"
@@ -191,20 +192,28 @@ TEST(StatusReportWire, SkipsUnknownKeysForForwardCompat) {
 TEST(StatusReportAttrs, BindsServerVariables) {
   // Through the monitor's sysdb record, the matcher's slot table binds 21 of
   // the 22 server-side variables; the 22nd (host_security_level) comes from
-  // secdb and is bound by the wizard.
-  ipc::SysRecord record = monitor::to_sys_record(sample_report(), 0);
-  auto value = [&](std::string_view name) {
-    return core::record_slot_value(record, *lang::find_server_slot(name));
+  // secdb, 0 for a host without a row, and monitor_* stay unbound without a
+  // netdb row.
+  core::MatchInput input;
+  input.sys.push_back(monitor::to_sys_record(sample_report(), 0));
+  const lang::SlotMask every_slot = (lang::SlotMask{1} << lang::kServerSlotCount) - 1;
+  lang::Binding binding;
+  core::RecordBinder(input, every_slot).bind(input.sys[0], binding);
+  auto slot = [](std::string_view name) {
+    return static_cast<std::size_t>(*lang::find_server_slot(name));
   };
-  std::size_t bound = 0;
-  for (const std::string& name : lang::server_variable_names()) bound += value(name).has_value();
-  EXPECT_EQ(bound, 21u);
-  EXPECT_FALSE(value("host_security_level"));
-  EXPECT_DOUBLE_EQ(*value("host_system_load1"), 0.25);
-  EXPECT_DOUBLE_EQ(*value("host_cpu_free"), 0.75);
-  EXPECT_DOUBLE_EQ(*value("host_cpu_bogomips"), 4771.02);
-  EXPECT_DOUBLE_EQ(*value("host_memory_free"), 381.5);
-  EXPECT_DOUBLE_EQ(*value("host_network_tbytesps"), 200000.0);
+  std::size_t from_record = 0;
+  for (const std::string& name : lang::server_variable_names()) {
+    if (name != "host_security_level") from_record += (binding.bound >> slot(name)) & 1u;
+  }
+  EXPECT_EQ(from_record, 21u);
+  EXPECT_EQ(std::popcount(binding.bound), 22);
+  EXPECT_DOUBLE_EQ(binding.values[slot("host_security_level")], 0.0);
+  EXPECT_DOUBLE_EQ(binding.values[slot("host_system_load1")], 0.25);
+  EXPECT_DOUBLE_EQ(binding.values[slot("host_cpu_free")], 0.75);
+  EXPECT_DOUBLE_EQ(binding.values[slot("host_cpu_bogomips")], 4771.02);
+  EXPECT_DOUBLE_EQ(binding.values[slot("host_memory_free")], 381.5);
+  EXPECT_DOUBLE_EQ(binding.values[slot("host_network_tbytesps")], 200000.0);
 }
 
 // --- rate computation ----------------------------------------------------------

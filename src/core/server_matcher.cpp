@@ -92,8 +92,6 @@ bool in_list(const std::vector<std::string>& patterns, const Record& record) {
 struct RecordOutcome {
   double rank = 0.0;
   bool has_rank = false;
-  bool denied = false;
-  bool errored = false;
   bool qualified = false;
   bool preferred = false;
 };
@@ -145,7 +143,7 @@ ServerMatcher::ServerMatcher(std::size_t threads)
     : pool_(threads > 1 ? std::make_shared<util::ThreadPool>(threads - 1) : nullptr) {}
 
 MatchResult ServerMatcher::match(const lang::Requirement& requirement, const MatchView& input,
-                                 std::size_t count, Diagnostics diagnostics) const {
+                                 std::size_t count) const {
   MatchResult result;
   count = std::min(count, kMaxServersPerReply);
 
@@ -162,13 +160,9 @@ MatchResult ServerMatcher::match(const lang::Requirement& requirement, const Mat
     for (std::size_t i = begin; i < end; ++i) {
       const ipc::SysRecord& record = input.sys[i];
       RecordOutcome& out = outcomes[i];
-      if (in_list(denied, record)) {  // blacklist is absolute
-        out.denied = true;
-        continue;
-      }
+      if (in_list(denied, record)) continue;  // blacklist is absolute
       binder.bind(record, binding);
       lang::Verdict verdict = requirement.evaluate(binding, scratch);
-      out.errored = verdict.errored;
       if (!verdict.qualified) continue;
       out.qualified = true;
       out.has_rank = verdict.rank.has_value();
@@ -202,16 +196,6 @@ MatchResult ServerMatcher::match(const lang::Requirement& requirement, const Mat
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const RecordOutcome& out = outcomes[i];
     ++result.evaluated;
-    if (out.denied) continue;
-    if (diagnostics == Diagnostics::kCollect && out.errored) {
-      // Re-run the record with error text; only callers that ask pay for it.
-      lang::Binding binding;
-      binder.bind(input.sys[i], binding);
-      const std::string host = input.sys[i].host_str();
-      for (const std::string& error : requirement.explain(binding).errors()) {
-        result.diagnostics.push_back(host + ": " + error);
-      }
-    }
     if (!out.qualified) continue;
     if (out.has_rank) ranked = true;
     (out.preferred ? preferred_hits : other_hits).push_back(Hit{i, out.rank});

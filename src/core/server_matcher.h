@@ -59,13 +59,7 @@ struct MatchResult {
   std::vector<ServerEntry> selected;
   std::size_t evaluated = 0;
   std::size_t qualified = 0;
-  /// Per-server evaluation errors, "host: line N: message", in record order.
-  /// Filled only when match() is asked for them.
-  std::vector<std::string> diagnostics;
 };
-
-/// Whether match() builds MatchResult::diagnostics.
-enum class Diagnostics : bool { kSkip = false, kCollect = true };
 
 /// Binds the slots a requirement reads for one record: the record's own
 /// fields, host_security_level from the first secdb row for the host (0
@@ -102,7 +96,7 @@ class ServerMatcher {
   std::size_t threads() const { return pool_ ? pool_->size() + 1 : 1; }
 
   MatchResult match(const lang::Requirement& requirement, const MatchView& input,
-                    std::size_t count, Diagnostics diagnostics = Diagnostics::kSkip) const;
+                    std::size_t count) const;
 
  private:
   // Workers beyond the calling thread; null selects the serial path. Shared

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/counters.h"
 #include "util/logging.h"
 
@@ -63,7 +62,8 @@ WizardReply SmartClient::query(const std::string& requirement, std::size_t count
   request.detail = requirement;
 
   // Flight-recorder span covering the whole query including resends and
-  // failovers; the wizard records its half under the same trace_id.
+  // failovers, with one child span per send; the wizard records its half
+  // under the same trace_id. The query's outcome is tagged once, at return.
   obs::Span span("smart_client", "query", request.trace_id, 0, *config_.spans);
   span.tag("wizard", selector_->endpoint(0).to_string())
       .tag("replicas", selector_->size())
@@ -104,18 +104,24 @@ WizardReply SmartClient::query(const std::string& requirement, std::size_t count
   std::optional<WizardReply> lagging;
 
   // Switches the next attempt to the selector's current best replica and
-  // counts the move as a failover when it lands somewhere new.
-  auto fail_over = [&]() {
+  // counts the move as a failover when it lands somewhere new, tagging the
+  // attempt that gave up with the replica the next one goes to.
+  auto fail_over = [&](obs::Span& attempt_span) {
     std::size_t next = selector_->select();
     if (next != current) {
       failover_counter->inc();
       failovers_.fetch_add(1, std::memory_order_relaxed);
-      obs::TraceEvent(util::LogLevel::kDebug, "smart_client", "failover",
-                      request.trace_id)
-          .kv("from", selector_->endpoint(current).to_string())
-          .kv("to", selector_->endpoint(next).to_string());
+      attempt_span.tag("failover", selector_->endpoint(next).to_string());
       current = next;
     }
+  };
+  // Tags the query span with its outcome; every return below passes here.
+  auto finish = [&](WizardReply out, int attempts) {
+    span.tag("ok", out.ok)
+        .tag("stale", out.stale)
+        .tag("servers", out.servers.size())
+        .tag("attempts", attempts);
+    return out;
   };
 
   for (int attempt = 0; /* exit via retry.backoff() */; ++attempt) {
@@ -123,6 +129,14 @@ WizardReply SmartClient::query(const std::string& requirement, std::size_t count
     request.sequence = static_cast<std::uint32_t>(rng_.uniform_int(1, 0x7fffffff));
     sent.push_back(SentAttempt{request.sequence, current, clock.now()});
     std::string wire = request.to_wire();
+    // One child span per send. It covers the send, the wait for the reply
+    // and, when the attempt gives up, the backoff before the next one, so
+    // the attempts tile the query span.
+    obs::Span attempt_span("smart_client", "attempt", request.trace_id, span.id(),
+                           *config_.spans);
+    attempt_span.tag("seq", request.sequence)
+        .tag("wizard", target.to_string())
+        .tag("attempt", attempt);
 
     net::IoResult send_result = socket_.send_to(wire, target);
     if (!send_result.ok()) {
@@ -130,21 +144,17 @@ WizardReply SmartClient::query(const std::string& requirement, std::size_t count
       selector_->record_failure(current, hard);
       selector_->publish_health();
       failed.error = "cannot send request to wizard " + target.to_string();
+      attempt_span.tag("error", "send");
       if (hard && hard_skips_left > 0) {
         --hard_skips_left;
-        fail_over();
+        fail_over(attempt_span);
         continue;  // no backoff: the peer is provably unreachable
       }
       if (!retry.backoff()) break;
       retries_counter->inc();
-      fail_over();
+      fail_over(attempt_span);
       continue;
     }
-    obs::TraceEvent(util::LogLevel::kDebug, "smart_client", "query_send", request.trace_id)
-        .kv("seq", request.sequence)
-        .kv("wizard", target.to_string())
-        .kv("requested", count)
-        .kv("attempt", attempt);
     bool hard_receive = false;
     bool answered = false;
     util::Duration deadline = clock.now() + config_.reply_timeout;
@@ -169,17 +179,10 @@ WizardReply SmartClient::query(const std::string& requirement, std::size_t count
         }
       }
       if (matched == nullptr) continue;  // reply to some previous query
-      obs::TraceEvent(util::LogLevel::kDebug, "smart_client", "query_reply",
-                      request.trace_id)
-          .kv("seq", reply->sequence)
-          .kv("ok", reply->ok)
-          .kv("stale", reply->stale)
-          .kv("version", reply->version)
-          .kv("servers", reply->servers.size());
-      span.tag("ok", reply->ok)
+      attempt_span.tag("ok", reply->ok)
           .tag("stale", reply->stale)
-          .tag("servers", reply->servers.size())
-          .tag("attempts", attempt + 1);
+          .tag("version", reply->version)
+          .tag("servers", reply->servers.size());
       // The replica answered: it is alive regardless of what it said.
       double latency_us =
           std::chrono::duration<double, std::micro>(clock.now() - matched->sent_at)
@@ -219,7 +222,7 @@ WizardReply SmartClient::query(const std::string& requirement, std::size_t count
                                                          std::memory_order_relaxed)) {
         }
       }
-      return *reply;
+      return finish(*reply, attempt + 1);
     }
     if (!answered) {
       selector_->record_failure(current, hard_receive);
@@ -228,15 +231,16 @@ WizardReply SmartClient::query(const std::string& requirement, std::size_t count
       failed.error = hard_receive
                          ? "wizard " + target.to_string() + " unreachable"
                          : "no reply from wizard " + target.to_string();
+      attempt_span.tag(hard_receive ? "unreachable" : "timeout", true);
       if (hard_receive && hard_skips_left > 0) {
         --hard_skips_left;
-        fail_over();
+        fail_over(attempt_span);
         continue;  // no backoff
       }
     }
     if (!retry.backoff()) break;
     retries_counter->inc();
-    fail_over();
+    fail_over(attempt_span);
   }
   if (lagging && config_.freshness == FreshnessMode::kBestEffort) {
     // Only a lagging replica was reachable. Serve its answer through the
@@ -244,19 +248,15 @@ WizardReply SmartClient::query(const std::string& requirement, std::size_t count
     WizardReply out = *lagging;
     out.stale = true;
     stale_counter->inc();
-    span.tag("ok", true).tag("lagging", true).tag("attempts", retry.attempts());
-    return out;
+    span.tag("lagging", true);
+    return finish(std::move(out), retry.attempts());
   }
-  obs::TraceEvent(util::LogLevel::kDebug, "smart_client", "query_timeout", request.trace_id)
-      .kv("replicas", selector_->size())
-      .kv("attempts", retry.attempts());
-  span.tag("ok", false).tag("attempts", retry.attempts());
   failures_counter->inc();
   failed.sequence = sent.empty() ? 0 : sent.back().sequence;
   if (failed.error.empty()) {
     failed.error = "no reply from wizard " + selector_->endpoint(current).to_string();
   }
-  return failed;
+  return finish(std::move(failed), retry.attempts());
 }
 
 SmartConnectResult SmartClient::smart_connect(const std::string& requirement,

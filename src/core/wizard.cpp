@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/counters.h"
 #include "util/logging.h"
 
@@ -141,10 +140,6 @@ WizardReply Wizard::handle(const UserRequest& request, std::uint64_t parent_span
         metrics_.reply_hits->inc();
         reply = cached->reply;
         reply.sequence = request.sequence;
-        obs::TraceEvent(util::LogLevel::kDebug, "wizard", "reply_cache_hit",
-                        request.trace_id)
-            .kv("seq", request.sequence)
-            .kv("servers", reply.servers.size());
         handle_span.tag("cache", "hit").tag("servers", reply.servers.size());
         return finish(reply);
       }
@@ -161,10 +156,7 @@ WizardReply Wizard::handle(const UserRequest& request, std::uint64_t parent_span
     reply.ok = false;
     reply.error = "requirement: " + compiled.error;
     metrics_.query_errors->inc();
-    obs::TraceEvent(util::LogLevel::kDebug, "wizard", "compile_error", request.trace_id)
-        .kv("seq", request.sequence)
-        .kv("error", compiled.error);
-    handle_span.tag("error", "compile");
+    handle_span.tag("error", "compile").tag("message", compiled.error);
     return finish(reply);
   }
 
@@ -181,11 +173,6 @@ WizardReply Wizard::handle(const UserRequest& request, std::uint64_t parent_span
   input.sec = snap->sec;
   input.local_group = config_.local_group;
 
-  obs::TraceEvent(util::LogLevel::kDebug, "wizard", "match_start", request.trace_id)
-      .kv("seq", request.sequence)
-      .kv("candidates", input.sys.size())
-      .kv("requested", request.server_num);
-  auto match_started = std::chrono::steady_clock::now();
   MatchResult result;
   {
     obs::Span match_span("wizard", "match", request.trace_id, handle_span.id(),
@@ -194,12 +181,6 @@ WizardReply Wizard::handle(const UserRequest& request, std::uint64_t parent_span
     result = matcher_.match(*compiled.requirement, input, request.server_num);
     match_span.tag("selected", result.selected.size());
   }
-  obs::TraceEvent(util::LogLevel::kDebug, "wizard", "match_end", request.trace_id)
-      .kv("seq", request.sequence)
-      .kv("selected", result.selected.size())
-      .kv("match_us", std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - match_started)
-                          .count());
   if (request.option == RequestOption::kStrict &&
       result.selected.size() < request.server_num) {
     reply.ok = false;
@@ -233,22 +214,17 @@ std::size_t Wizard::serve_batch(std::vector<net::Datagram>& requests,
       continue;
     }
     metrics_.requests->inc();
-    obs::TraceEvent(util::LogLevel::kDebug, "wizard", "request_dequeue", request->trace_id)
-        .kv("seq", request->sequence)
-        .kv("peer", datagram.peer.to_string())
-        .kv("requested", request->server_num);
     obs::Span request_span("wizard", "request", request->trace_id, 0, *config_.spans);
-    request_span.tag("seq", request->sequence).tag("peer", datagram.peer.to_string());
+    request_span.tag("seq", request->sequence)
+        .tag("peer", datagram.peer.to_string())
+        .tag("requested", request->server_num);
     WizardReply reply = handle(*request, request_span.id());
     const std::string& wire =
         replies.emplace_back(net::Datagram{reply.to_wire(), datagram.peer}).payload;
     requests_served_.fetch_add(1, std::memory_order_relaxed);
-    obs::TraceEvent(util::LogLevel::kDebug, "wizard", "reply_send", request->trace_id)
-        .kv("seq", request->sequence)
-        .kv("ok", reply.ok)
-        .kv("servers", reply.servers.size())
-        .kv("bytes", wire.size());
-    request_span.tag("ok", reply.ok).tag("bytes", wire.size());
+    request_span.tag("ok", reply.ok)
+        .tag("servers", reply.servers.size())
+        .tag("bytes", wire.size());
   }
   return replies.size();
 }

@@ -9,7 +9,6 @@
 
 #include "net/poller.h"
 #include "obs/blackbox.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace smartsock::net {
@@ -887,9 +886,9 @@ void Reactor::watchdog_main() {
         stalled_gauge_->add(1);
         flagged = true;
       }
-      obs::TraceEvent(util::LogLevel::kWarn, "reactor", "loop_stall", "")
-          .kv("handler", label != nullptr ? label : "unknown")
-          .kv("blocked_ms", static_cast<long long>(blocked_ns / 1000000));
+      SMARTSOCK_LOG(kWarn, "reactor")
+          << "event=loop_stall handler=" << (label != nullptr ? label : "unknown")
+          << " blocked_ms=" << blocked_ns / 1000000;
     }
     if (fatal_ns > 0 && blocked_ns >= fatal_ns) {
       std::string note = "watchdog_fatal handler=";

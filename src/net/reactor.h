@@ -171,7 +171,7 @@ struct ReactorConfig {
   /// whether a single callback has been blocking the loop longer than
   /// `watchdog_stall_threshold`. Each distinct stall increments
   /// reactor_watchdog_stalls_total, raises the reactor_watchdog_stalled gauge
-  /// while it lasts, and emits one event=loop_stall trace line naming the
+  /// while it lasts, and logs one event=loop_stall warn line naming the
   /// handler site. A zero stall threshold disables the watchdog.
   util::Duration watchdog_stall_threshold = std::chrono::milliseconds(500);
   util::Duration watchdog_check_interval = std::chrono::milliseconds(100);

@@ -297,7 +297,7 @@ std::string ProfileReport::to_chrome_trace() const {
     span.tags.emplace_back("stack", folded);
     spans.push_back(std::move(span));
   }
-  return SpanStore::to_chrome_trace(spans);
+  return SpanStore::to_stitched_chrome_trace({{"profiler", std::move(spans)}});
 }
 
 }  // namespace smartsock::obs

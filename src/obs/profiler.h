@@ -68,7 +68,8 @@ struct ProfileReport {
   std::string to_folded() const;
 
   /// Chrome trace_event JSON: each sample becomes an interval-wide slice on
-  /// a "profiler" track (SpanStore::to_chrome_trace under the hood).
+  /// a "profiler" track in one "profiler" lane
+  /// (SpanStore::to_stitched_chrome_trace under the hood).
   std::string to_chrome_trace() const;
 };
 

@@ -5,10 +5,9 @@
 #include <map>
 #include <sstream>
 
-#include <unistd.h>
-
 #include "obs/metrics.h"
 #include "util/crashfmt.h"
+#include "util/logging.h"
 
 namespace smartsock::obs {
 
@@ -25,7 +24,47 @@ std::uint64_t steady_now_ns() {
       std::chrono::steady_clock::now().time_since_epoch().count());
 }
 
+/// Appends a tag value so one line stays one event: a value that is empty
+/// or holds whitespace or '"' is double-quoted, '"' becomes ' and a newline
+/// becomes a space.
+void append_value(std::string& line, std::string_view value) {
+  if (!value.empty() && value.find_first_of(" \t\n\"") == std::string_view::npos) {
+    line.append(value);
+    return;
+  }
+  line += '"';
+  for (char c : value) line += c == '"' ? '\'' : c == '\n' ? ' ' : c;
+  line += '"';
+}
+
+std::string debug_line(const SpanRecord& span) {
+  std::string line = "event=" + span.name;
+  if (!span.trace_id.empty()) line += " trace_id=" + span.trace_id;
+  line += " span=" + std::to_string(span.span_id);
+  line += " parent=" + std::to_string(span.parent_id);
+  line += " ts_us=" + std::to_string(span.start_us);
+  line += " dur_us=" + std::to_string(span.duration_us);
+  for (const auto& [key, value] : span.tags) {
+    line += ' ';
+    line += key;
+    line += '=';
+    append_value(line, value);
+  }
+  return line;
+}
+
 }  // namespace
+
+std::string mint_trace_id(util::Rng& rng) {
+  // uniform_int is inclusive over int64; stitch two 32-bit draws so the full
+  // 64-bit space is reachable.
+  auto hi = static_cast<std::uint64_t>(rng.uniform_int(0, 0xffffffffll));
+  auto lo = static_cast<std::uint64_t>(rng.uniform_int(0, 0xffffffffll));
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>((hi << 32) | lo));
+  return buffer;
+}
 
 SpanStore::SpanStore(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity), slots_(capacity_) {}
@@ -115,43 +154,6 @@ void SpanStore::crash_dump(int fd, std::size_t max_spans) const {
     }
     slot.mu.unlock();
   }
-}
-
-std::string SpanStore::to_chrome_trace(const std::vector<SpanRecord>& spans) {
-  // Stable tid per component so chrome://tracing renders one row per hop
-  // owner (client, wizard, transmitter, receiver, ...).
-  std::map<std::string, int> tids;
-  for (const SpanRecord& span : spans) {
-    tids.emplace(span.component, static_cast<int>(tids.size()) + 1);
-  }
-  long pid = static_cast<long>(::getpid());
-
-  std::ostringstream out;
-  out << "{\"traceEvents\": [";
-  bool first = true;
-  for (const auto& [component, tid] : tids) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " << pid
-        << ", \"tid\": " << tid << ", \"args\": {\"name\": \""
-        << json_escape(component) << "\"}}";
-  }
-  for (const SpanRecord& span : spans) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n{\"ph\": \"X\", \"name\": \"" << json_escape(span.name)
-        << "\", \"cat\": \"" << json_escape(span.component) << "\", \"ts\": " << span.start_us
-        << ", \"dur\": " << span.duration_us << ", \"pid\": " << pid
-        << ", \"tid\": " << tids[span.component] << ", \"args\": {";
-    out << "\"trace_id\": \"" << json_escape(span.trace_id) << "\", \"span_id\": \""
-        << span.span_id << "\", \"parent_id\": \"" << span.parent_id << "\"";
-    for (const auto& [key, value] : span.tags) {
-      out << ", \"" << json_escape(key) << "\": \"" << json_escape(value) << "\"";
-    }
-    out << "}}";
-  }
-  out << "\n]}\n";
-  return out.str();
 }
 
 std::string SpanStore::to_json(const std::vector<SpanRecord>& spans) {
@@ -255,6 +257,10 @@ void Span::end() {
   if (done_) return;
   done_ = true;
   record_.duration_us = (steady_now_ns() - start_ns_) / 1000;
+  util::Logger& logger = util::Logger::instance();
+  if (logger.enabled(util::LogLevel::kDebug)) {
+    logger.log(util::LogLevel::kDebug, record_.component, debug_line(record_));
+  }
   store_->record(std::move(record_));
 }
 

@@ -1,13 +1,17 @@
-// Flight recorder spans (ISSUE 4 tentpole, part 1).
+// Flight recorder spans — the one per-hop trace record.
 //
-// PR 2's TraceEvents are fire-and-forget log lines: reconstructing a query
-// means scraping logs. A Span is the same hop, kept in process memory — a
-// named interval with trace_id/span_id/parent_id, wall-clock start,
-// steady-clock duration and key=value tags — recorded into a fixed-size
-// ring buffer (the SpanStore) that the stats protocol can snapshot, filter
-// by trace and export as Chrome `trace_event` JSON (open chrome://tracing
-// or https://ui.perfetto.dev on the export and the paper's Fig 5.x per-hop
-// latency breakdown falls out of the timeline).
+// A Span is a named interval of a query or a snapshot transfer, with
+// trace_id/span_id/parent_id, wall-clock start, steady-clock duration and
+// key=value tags. Its end writes the hop twice: into a fixed-size ring
+// buffer (the SpanStore) that the stats protocol can snapshot, filter by
+// trace and export as Chrome `trace_event` JSON, and as one debug line
+// through util::Logger:
+//
+//   [DEBUG] wizard: event=match trace_id=4be1a22c719d03f7 span=9 parent=8 ts_us=... dur_us=196 ...
+//
+// One grep for the trace_id over client and wizard logs, or one `trace`
+// stats verb, reconstructs the query's life hop by hop, the way the paper's
+// Fig 5.x latency study was hand-instrumented.
 //
 // Concurrency: writers claim a slot with one relaxed fetch_add, then take
 // the slot's own mutex with try_lock — a writer never blocks on another
@@ -24,7 +28,13 @@
 #include <utility>
 #include <vector>
 
+#include "util/rng.h"
+
 namespace smartsock::obs {
+
+/// 16 lowercase-hex chars from the caller's RNG (deterministic under a
+/// seeded client, which the trace tests rely on).
+std::string mint_trace_id(util::Rng& rng);
 
 /// One completed hop of a query or snapshot transfer.
 struct SpanRecord {
@@ -79,10 +89,6 @@ class SpanStore {
   /// itself interrupted) are skipped via try_lock.
   void crash_dump(int fd, std::size_t max_spans = 64) const;
 
-  /// Chrome trace_event JSON: {"traceEvents":[{"ph":"X",...}]}. Components
-  /// map to synthetic tids so each hop gets its own timeline row.
-  static std::string to_chrome_trace(const std::vector<SpanRecord>& spans);
-
   /// Machine-readable span export (ISSUE 9): {"spans": [{...}, ...]},
   /// oldest first — the `spans json` stats verb the fleet aggregator
   /// scrapes, carrying every SpanRecord field (unlike the human-oriented
@@ -96,12 +102,13 @@ class SpanStore {
     std::vector<SpanRecord> spans;
   };
 
-  /// Cross-process Chrome trace (ISSUE 9 tentpole): each instance becomes
-  /// its own named process lane (synthetic pid in lane order + process_name
-  /// metadata), components its thread rows within the lane — so a
-  /// client→wizard→transmitter→receiver query whose hops live in different
-  /// daemons' rings renders end-to-end on one timeline, grouped by the
-  /// trace_id that already crossed the wire.
+  /// Chrome trace_event JSON, {"traceEvents":[{"ph":"X",...}]}: each
+  /// instance becomes its own named process lane (synthetic pid in lane
+  /// order + process_name metadata), components its thread rows within the
+  /// lane — so a client→wizard→transmitter→receiver query whose hops live in
+  /// different daemons' rings renders end-to-end on one timeline, grouped by
+  /// the trace_id that already crossed the wire. One process's ring is the
+  /// one-lane case.
   static std::string to_stitched_chrome_trace(const std::vector<InstanceSpans>& lanes);
 
  private:
@@ -118,8 +125,9 @@ class SpanStore {
   std::atomic<std::uint64_t> next_id_{1};
 };
 
-/// RAII span: stamps the start on construction, records into the store on
-/// destruction (or at an explicit end()). Tags accumulate along the way:
+/// RAII span: stamps the start on construction, records into the store and
+/// logs its debug line on destruction (or at an explicit end()). Tags
+/// accumulate along the way:
 ///
 ///   obs::Span span("wizard", "handle", request.trace_id);
 ///   span.tag("seq", request.sequence);
@@ -155,7 +163,12 @@ class Span {
     return tag(key, std::string_view(value ? "true" : "false"));
   }
 
-  /// Finalizes the duration and records the span now; later tag() calls and
+  /// Finalizes the duration, records the span and, when debug logging is on,
+  /// logs it under its component as
+  ///   event=<name> trace_id=<id> span=<id> parent=<id> ts_us=<start> dur_us=<dur> k=v...
+  /// (trace_id= left out when empty; a tag value that is empty or holds
+  /// whitespace or '"' is double-quoted, with '"' written as ' and a newline
+  /// as a space). With debug off nothing is formatted. Later tag() calls and
   /// the destructor become no-ops.
   void end();
 

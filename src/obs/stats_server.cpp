@@ -165,9 +165,11 @@ std::string StatsServer::render(std::string_view command_line) {
 
   if (verb == "trace") {
     if (config_.spans == nullptr) return error_body("no span store on this endpoint");
+    // One lane, labeled by this endpoint the way the fleet aggregator
+    // labels a scraped daemon.
     std::vector<SpanRecord> spans = words.size() > 1 ? config_.spans->find_trace(words[1])
                                                      : config_.spans->snapshot();
-    return SpanStore::to_chrome_trace(spans);
+    return SpanStore::to_stitched_chrome_trace({{endpoint_.to_string(), std::move(spans)}});
   }
 
   if (verb == "profile") {

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/counters.h"
 #include "util/logging.h"
 
@@ -41,9 +40,7 @@ bool apply_upserts(std::string_view payload, Put put) {
 struct Receiver::IngestSession {
   Receiver* owner;
   std::function<bool(std::string)> send_reply;  // kDeltaAccept transport
-  std::string peer;
   obs::Span span;
-  std::string trace_id;
 
   std::size_t frames = 0;
   bool applied = false;
@@ -61,13 +58,11 @@ struct Receiver::IngestSession {
   const char* damage = nullptr;
   bool finished = false;
 
-  IngestSession(Receiver* owner, std::string trace, std::function<bool(std::string)> send,
-                std::string peer)
-      : owner(owner),
-        send_reply(std::move(send)),
-        peer(std::move(peer)),
-        span("receiver", "ingest", trace),
-        trace_id(std::move(trace)) {}
+  IngestSession(Receiver* owner, std::string_view trace_id,
+                std::function<bool(std::string)> send, std::string_view peer)
+      : owner(owner), send_reply(std::move(send)), span("receiver", "ingest", trace_id) {
+    span.tag("peer", peer);
+  }
 
   /// Applies one frame; false means the stream is damaged and the
   /// connection must be aborted.
@@ -84,10 +79,7 @@ struct Receiver::IngestSession {
       case FrameType::kTraceContext:
         // The transmitter's trace id for this snapshot — adopt it so both
         // halves of the transfer reconstruct as one trace.
-        trace_id = frame.payload;
-        span.set_trace_id(trace_id);
-        obs::TraceEvent(util::LogLevel::kDebug, "receiver", "snapshot_recv", trace_id)
-            .kv("peer", peer);
+        span.set_trace_id(frame.payload);
         break;
       case FrameType::kSysDb:
         if (auto records = decode_records<ipc::SysRecord>(frame.payload)) {
@@ -262,16 +254,15 @@ Receiver::Receiver(ReceiverConfig config, ipc::StatusStore& store)
 
 Receiver::~Receiver() { stop(); }
 
-bool Receiver::ingest(net::TcpSocket& socket) { return ingest(socket, {}); }
-
-bool Receiver::ingest(net::TcpSocket& socket, std::string trace_id) {
+bool Receiver::ingest(net::TcpSocket& socket, std::string_view trace_id,
+                      std::string_view transmitter) {
   socket.set_traffic_counter(traffic_);
   socket.set_receive_timeout(config_.io_timeout);
   socket.set_send_timeout(config_.io_timeout);
   IngestSession session(
-      this, std::move(trace_id),
-      [&socket](std::string bytes) { return socket.send_all(bytes).ok(); },
+      this, trace_id, [&socket](std::string bytes) { return socket.send_all(bytes).ok(); },
       socket.peer_endpoint().to_string());
+  if (!transmitter.empty()) session.span.tag("transmitter", transmitter);
   // One connection carries up to three database frames; a clean EOF on a
   // frame boundary ends it.
   FrameReadError why = FrameReadError::kNone;
@@ -368,7 +359,7 @@ void Receiver::on_client(net::TcpSocket socket) {
   auto state = std::make_shared<ClientState>();
   net::Connection* raw = client;
   state->session = std::make_unique<IngestSession>(
-      this, std::string{},
+      this, std::string_view{},
       [raw](std::string bytes) {
         raw->send(bytes);
         return true;  // buffered; a dead peer surfaces via on_close
@@ -396,12 +387,10 @@ bool Receiver::pull_once(const net::Endpoint& transmitter) {
   // echoes it in its kTraceContext frame, so either side's ring shows the
   // same id for this transfer.
   std::string trace_id = obs::mint_trace_id(rng_);
-  obs::TraceEvent(util::LogLevel::kDebug, "receiver", "pull_request", trace_id)
-      .kv("transmitter", transmitter.to_string());
   if (!socket->send_all(encode_frame(FrameType::kUpdateRequest, trace_id)).ok()) {
     return false;
   }
-  return ingest(*socket, std::move(trace_id));
+  return ingest(*socket, trace_id, transmitter.to_string());
 }
 
 bool Receiver::pull_from(const net::Endpoint& transmitter) {

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -110,10 +111,11 @@ class Receiver {
   struct IngestSession;
   struct ClientState;
 
-  bool ingest(net::TcpSocket& socket);
-  /// `trace_id` seeds the ingest span for the pull path; the push path
-  /// starts untraced and adopts the id from the kTraceContext frame.
-  bool ingest(net::TcpSocket& socket, std::string trace_id);
+  /// `trace_id` and `transmitter` tag the ingest span on the pull path; the
+  /// push path starts untraced and adopts the id from the kTraceContext
+  /// frame.
+  bool ingest(net::TcpSocket& socket, std::string_view trace_id = {},
+              std::string_view transmitter = {});
   bool pull_once(const net::Endpoint& transmitter);
 
   void on_client(net::TcpSocket socket);         // loop thread

@@ -1,7 +1,6 @@
 #include "transport/transmitter.h"
 
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/counters.h"
 #include "util/logging.h"
 
@@ -93,11 +92,10 @@ bool Transmitter::send_snapshot(net::TcpSocket& socket, std::string trace_id) {
   blob += encode_frame(FrameType::kSysDb, encode_records(snap->sys));
   blob += encode_frame(FrameType::kNetDb, encode_records(snap->net));
   blob += encode_frame(FrameType::kSecDb, encode_records(snap->sec));
-  span.tag("bytes", blob.size()).tag("sys_records", snap->sys.size());
-  span.tag("mode", "full");
-  obs::TraceEvent(util::LogLevel::kDebug, "transmitter", "snapshot_send", trace_id)
-      .kv("bytes", blob.size())
-      .kv("peer", socket.peer_endpoint().to_string());
+  span.tag("bytes", blob.size())
+      .tag("sys_records", snap->sys.size())
+      .tag("mode", "full")
+      .tag("peer", socket.peer_endpoint().to_string());
   if (!socket.send_all(blob).ok()) {
     span.tag("ok", false);
     return false;
@@ -178,13 +176,9 @@ Transmitter::Negotiated Transmitter::push_negotiated(net::TcpSocket& socket,
   span.tag("mode", delta ? "delta" : "full")
       .tag("bytes", blob.size())
       .tag("records", changed)
-      .tag("sys_records", snap.sys.size());
-  obs::TraceEvent(util::LogLevel::kDebug, "transmitter",
-                  delta ? "delta_send" : "snapshot_send", trace_id)
-      .kv("bytes", blob.size())
-      .kv("records", changed)
-      .kv("base_version", acked->version)
-      .kv("peer", socket.peer_endpoint().to_string());
+      .tag("sys_records", snap.sys.size())
+      .tag("base_version", acked->version)
+      .tag("peer", socket.peer_endpoint().to_string());
   if (!socket.send_all(blob).ok()) {
     span.tag("ok", false);
     return Negotiated::kIoError;

@@ -7,6 +7,7 @@
 #include "core/wire.h"
 #include "core/wizard.h"
 #include "ipc/in_memory_store.h"
+#include "match_diagnostics.h"
 
 namespace smartsock::core {
 namespace {
@@ -251,10 +252,9 @@ TEST(Matcher, MissingNetRecordFailsNetworkRequirement) {
   input.local_group = "client";
   input.sys = {sys_record("unmeasured", 0.95, 200, "groupZ")};
   ServerMatcher matcher;
-  auto result =
-      matcher.match(compile("monitor_network_bw > 1"), input, 10, Diagnostics::kCollect);
-  EXPECT_TRUE(result.selected.empty());
-  EXPECT_FALSE(result.diagnostics.empty());
+  lang::Requirement requirement = compile("monitor_network_bw > 1");
+  EXPECT_TRUE(matcher.match(requirement, input, 10).selected.empty());
+  EXPECT_FALSE(match_diagnostics(requirement, input).empty());
 }
 
 TEST(Matcher, CapsAtSixtyServers) {

@@ -1,8 +1,9 @@
 // Flight recorder tests (ISSUE 4): P² quantile sketch accuracy, the span
 // ring (wraparound + concurrent writers) and its Chrome trace export, trace
-// reconstruction of a real client→wizard query, metric time-series history
-// on a virtual clock, the health/SLO engine's degraded→ok transitions, the
-// new StatsServer commands, and TraceEvent quoting edge cases.
+// reconstruction of a real client→wizard query and of replication pushes
+// and pulls, metric time-series history on a virtual clock, the health/SLO
+// engine's degraded→ok transitions, the new StatsServer commands, and span
+// line quoting edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,14 +17,16 @@
 #include "core/smart_client.h"
 #include "core/wizard.h"
 #include "ipc/in_memory_store.h"
+#include "log_capture.h"
 #include "net/tcp_socket.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/stats_server.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "sim/virtual_clock.h"
+#include "transport/receiver.h"
+#include "transport/transmitter.h"
 #include "util/logging.h"
 #include "util/quantile.h"
 #include "util/rng.h"
@@ -268,12 +271,15 @@ TEST(ChromeTrace, ExportsWellFormedEventsWithEscaping) {
     span.tag("path", "C:\\tmp");
     span.tag("spaced", "two words");
   }
-  std::string json = obs::SpanStore::to_chrome_trace(store.snapshot());
+  std::string json =
+      obs::SpanStore::to_stitched_chrome_trace({{"wizard-lane", store.snapshot()}});
   EXPECT_TRUE(braces_balanced(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);  // thread_name metadata
   EXPECT_NE(json.find("\"name\": \"wizard\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"process_name\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"wizard-lane\""), std::string::npos);
   EXPECT_NE(json.find("\"trace_id\": \"eeee0000eeee0000\""), std::string::npos);
   // Escapes: " -> \",  newline -> \n,  backslash -> \\.
   EXPECT_NE(json.find("say \\\"hi\\\""), std::string::npos) << json;
@@ -285,7 +291,7 @@ TEST(ChromeTrace, ExportsWellFormedEventsWithEscaping) {
 }
 
 TEST(ChromeTrace, EmptyStoreStillValidJson) {
-  std::string json = obs::SpanStore::to_chrome_trace({});
+  std::string json = obs::SpanStore::to_stitched_chrome_trace({});
   EXPECT_TRUE(braces_balanced(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 }
@@ -361,7 +367,7 @@ TEST(FlightRecorder, ReconstructsClientWizardQueryAsOneTrace) {
   EXPECT_GE(query->duration_us, handle->duration_us);
 
   // The Chrome export of this trace is valid JSON naming every hop.
-  std::string json = obs::SpanStore::to_chrome_trace(trace);
+  std::string json = obs::SpanStore::to_stitched_chrome_trace({{"client+wizard", trace}});
   EXPECT_TRUE(braces_balanced(json)) << json;
   for (const char* needle : {"smart_client", "\"query\"", "\"request\"", "\"handle\"",
                              "\"match\"", "thread_name"}) {
@@ -693,6 +699,10 @@ TEST(StatsServerCommands, HealthHistorySpansAndTrace) {
   EXPECT_TRUE(braces_balanced(trace)) << trace;
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("\"handle\""), std::string::npos);
+  // One lane, named by the endpoint that served it.
+  EXPECT_NE(trace.find("\"name\": \"" + server.endpoint().to_string() + "\""),
+            std::string::npos)
+      << trace;
 
   std::string one = fetch_stats(server.endpoint(), "trace abab0000abab0000\n");
   EXPECT_NE(one.find("\"handle\""), std::string::npos);
@@ -720,48 +730,18 @@ TEST(StatsServerCommands, MissingEnginesReportErrors) {
   EXPECT_NE(server.render("spans").find("spans retained="), std::string::npos);
 }
 
-// --- TraceEvent quoting edge cases (satellite) -------------------------------
+// --- span line quoting -------------------------------------------------------
 
-class LogCapture {
- public:
-  LogCapture() {
-    previous_level_ = util::Logger::instance().level();
-    util::Logger::instance().set_level(util::LogLevel::kDebug);
-    util::Logger::instance().set_sink(
-        [this](util::LogLevel, std::string_view component, std::string_view message) {
-          std::lock_guard<std::mutex> lock(mu_);
-          lines_.push_back(std::string(component) + ": " + std::string(message));
-        });
-  }
-  ~LogCapture() {
-    util::Logger::instance().set_sink(nullptr);
-    util::Logger::instance().set_level(previous_level_);
-  }
-
-  std::vector<std::string> grep(const std::string& needle) {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> out;
-    for (const auto& line : lines_) {
-      if (line.find(needle) != std::string::npos) out.push_back(line);
-    }
-    return out;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> lines_;
-  util::LogLevel previous_level_;
-};
-
-TEST(TraceEventQuoting, EmbeddedQuotesNewlinesAndWhitespace) {
+TEST(SpanLine, EmbeddedQuotesNewlinesAndWhitespace) {
   LogCapture capture;
+  obs::SpanStore store(4);
   {
-    obs::TraceEvent(util::LogLevel::kDebug, "test", "edge", "0123456789abcdef")
-        .kv("quoted", "say \"hi\"")
-        .kv("newline", std::string_view("line1\nline2"))
-        .kv("tabbed", std::string_view("a\tb"))
-        .kv("empty", std::string_view(""))
-        .kv("plain", "word");
+    obs::Span span("test", "edge", "0123456789abcdef", 0, store);
+    span.tag("quoted", "say \"hi\"")
+        .tag("newline", std::string_view("line1\nline2"))
+        .tag("tabbed", std::string_view("a\tb"))
+        .tag("empty", std::string_view(""))
+        .tag("plain", "word");
   }
   auto lines = capture.grep("event=edge");
   ASSERT_EQ(lines.size(), 1u);
@@ -774,9 +754,11 @@ TEST(TraceEventQuoting, EmbeddedQuotesNewlinesAndWhitespace) {
   EXPECT_NE(line.find("tabbed=\"a\tb\""), std::string::npos) << line;
   EXPECT_NE(line.find("empty=\"\""), std::string::npos) << line;
   EXPECT_NE(line.find("plain=word"), std::string::npos) << line;
+  // The ring keeps the values as tagged; only the line is quoted.
+  EXPECT_EQ(store.snapshot()[0].tags[0].second, "say \"hi\"");
 }
 
-TEST(TraceEventQuoting, MintedIdsDeterministicUnderSeededRng) {
+TEST(SpanLine, MintedIdsDeterministicUnderSeededRng) {
   // Two RNGs with the same seed mint the same id sequence; the stream
   // advances (no repeats) and every id is 16 lowercase hex chars.
   util::Rng a(12345), b(12345);
@@ -788,6 +770,156 @@ TEST(TraceEventQuoting, MintedIdsDeterministicUnderSeededRng) {
     EXPECT_EQ(id.find_first_not_of("0123456789abcdef"), std::string::npos);
     for (const std::string& seen : ids) EXPECT_NE(id, seen);
     ids.push_back(id);
+  }
+}
+
+// --- client outcome tags -----------------------------------------------------
+
+std::vector<std::string> tag_values(const obs::SpanRecord& span, std::string_view key) {
+  std::vector<std::string> values;
+  for (const auto& [k, v] : span.tags) {
+    if (k == key) values.push_back(v);
+  }
+  return values;
+}
+
+TEST(FlightRecorder, StrictFreshQueryTagsItsOutcomeOnce) {
+  // The wizard's only record is stale: both attempts of a strict-fresh
+  // client get a stale reply, and the query fails. The query span carries
+  // that outcome once; each reply is tagged on its own attempt span.
+  ipc::InMemoryStatusStore store;
+  ipc::SysRecord record;
+  ipc::copy_fixed(record.host, ipc::kHostNameLen, "laggy");
+  ipc::copy_fixed(record.address, ipc::kAddressLen, "9.9.9.9:3");
+  record.cpu_idle = 0.9;
+  record.updated_ns = ipc::steady_now_ns() - 500'000'000ull;
+  store.put_sys(record);
+  core::WizardConfig wizard_config;
+  wizard_config.staleness_bound = 100ms;
+  core::Wizard wizard(wizard_config, store);
+  ASSERT_TRUE(wizard.start());
+
+  obs::SpanStore spans(64);
+  core::SmartClientConfig config;
+  config.wizard = wizard.endpoint();
+  config.seed = 11;
+  config.reply_timeout = 200ms;
+  config.retries = 1;
+  config.retry.initial_backoff = 10ms;
+  config.freshness = core::FreshnessMode::kStrictFresh;
+  config.spans = &spans;
+  core::SmartClient client(config);
+  core::WizardReply reply = client.query("host_cpu_free > 0.5", 1);
+  wizard.stop();
+  ASSERT_FALSE(reply.ok);
+
+  const obs::SpanRecord* query = nullptr;
+  std::vector<const obs::SpanRecord*> attempts;
+  std::vector<obs::SpanRecord> recorded = spans.snapshot();
+  for (const obs::SpanRecord& span : recorded) {
+    if (span.name == "query") query = &span;
+    if (span.name == "attempt") attempts.push_back(&span);
+  }
+  ASSERT_NE(query, nullptr);
+  EXPECT_EQ(tag_values(*query, "ok"), std::vector<std::string>{"false"});
+  EXPECT_EQ(tag_values(*query, "attempts"), std::vector<std::string>{"2"});
+  ASSERT_EQ(attempts.size(), 2u);
+  for (const obs::SpanRecord* attempt : attempts) {
+    EXPECT_EQ(attempt->parent_id, query->span_id);
+    EXPECT_EQ(attempt->trace_id, query->trace_id);
+    EXPECT_EQ(tag_values(*attempt, "ok"), std::vector<std::string>{"true"});
+    EXPECT_EQ(tag_values(*attempt, "stale"), std::vector<std::string>{"true"});
+  }
+}
+
+// --- replication traces ------------------------------------------------------
+
+/// The one span of `component`/`name` in the process ring.
+const obs::SpanRecord* only_span(const std::vector<obs::SpanRecord>& spans,
+                                 std::string_view component, std::string_view name) {
+  const obs::SpanRecord* found = nullptr;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.component != component || span.name != name) continue;
+    if (found != nullptr) return nullptr;
+    found = &span;
+  }
+  return found;
+}
+
+TEST(FlightRecorder, ReplicationPushAndPullShareOneTraceId) {
+  ipc::InMemoryStatusStore monitor_store;
+  ipc::SysRecord record;
+  ipc::copy_fixed(record.host, ipc::kHostNameLen, "replicated");
+  ipc::copy_fixed(record.address, ipc::kAddressLen, "10.0.0.1:1");
+  monitor_store.put_sys(record);
+
+  // Push: the transmitter mints the id and sends it in the kTraceContext
+  // frame ahead of the databases.
+  {
+    ipc::InMemoryStatusStore wizard_store;
+    transport::Receiver receiver(transport::ReceiverConfig{}, wizard_store);
+    ASSERT_TRUE(receiver.valid());
+    transport::TransmitterConfig tx_config;
+    tx_config.mode = transport::TransferMode::kCentralized;
+    tx_config.receiver = receiver.endpoint();
+    transport::Transmitter transmitter(tx_config, monitor_store);
+
+    obs::SpanStore::instance().clear();
+    LogCapture capture;
+    std::thread accepting([&] { EXPECT_TRUE(receiver.accept_once(2s)); });
+    EXPECT_TRUE(transmitter.transmit_once());
+    accepting.join();
+    ASSERT_EQ(wizard_store.sys_records().size(), 1u);
+
+    std::vector<obs::SpanRecord> spans = obs::SpanStore::instance().snapshot();
+    const obs::SpanRecord* push = only_span(spans, "transmitter", "push");
+    const obs::SpanRecord* ingest = only_span(spans, "receiver", "ingest");
+    ASSERT_NE(push, nullptr);
+    ASSERT_NE(ingest, nullptr);
+    ASSERT_EQ(push->trace_id.size(), 16u);
+    EXPECT_EQ(ingest->trace_id, push->trace_id);
+    auto push_lines = capture.grep("transmitter: event=push ");
+    auto ingest_lines = capture.grep("receiver: event=ingest ");
+    ASSERT_EQ(push_lines.size(), 1u);
+    ASSERT_EQ(ingest_lines.size(), 1u);
+    EXPECT_EQ(line_trace_id(push_lines[0]), push->trace_id);
+    EXPECT_EQ(line_trace_id(ingest_lines[0]), push->trace_id);
+    EXPECT_NE(ingest_lines[0].find(" peer=127.0.0.1:"), std::string::npos) << ingest_lines[0];
+  }
+
+  // Pull: the receiver mints the id and sends it in the kUpdateRequest
+  // payload; the transmitter echoes it.
+  {
+    ipc::InMemoryStatusStore wizard_store;
+    transport::TransmitterConfig tx_config;
+    tx_config.mode = transport::TransferMode::kDistributed;
+    transport::Transmitter transmitter(tx_config, monitor_store);
+    ASSERT_TRUE(transmitter.start());
+    transport::Receiver receiver(transport::ReceiverConfig{}, wizard_store);
+
+    obs::SpanStore::instance().clear();
+    LogCapture capture;
+    EXPECT_TRUE(receiver.pull_from(transmitter.endpoint()));
+    transmitter.stop();
+    ASSERT_EQ(wizard_store.sys_records().size(), 1u);
+
+    std::vector<obs::SpanRecord> spans = obs::SpanStore::instance().snapshot();
+    const obs::SpanRecord* push = only_span(spans, "transmitter", "push");
+    const obs::SpanRecord* ingest = only_span(spans, "receiver", "ingest");
+    ASSERT_NE(push, nullptr);
+    ASSERT_NE(ingest, nullptr);
+    ASSERT_EQ(ingest->trace_id.size(), 16u);
+    EXPECT_EQ(push->trace_id, ingest->trace_id);
+    auto push_lines = capture.grep("transmitter: event=push ");
+    auto ingest_lines = capture.grep("receiver: event=ingest ");
+    ASSERT_EQ(push_lines.size(), 1u);
+    ASSERT_EQ(ingest_lines.size(), 1u);
+    EXPECT_EQ(line_trace_id(push_lines[0]), ingest->trace_id);
+    EXPECT_EQ(line_trace_id(ingest_lines[0]), ingest->trace_id);
+    EXPECT_NE(ingest_lines[0].find(" peer=127.0.0.1:"), std::string::npos) << ingest_lines[0];
+    EXPECT_NE(ingest_lines[0].find(" transmitter=" + transmitter.endpoint().to_string()),
+              std::string::npos)
+        << ingest_lines[0];
   }
 }
 

@@ -12,68 +12,26 @@
 // without netdb rows, hosts with and without secdb rows, and duplicate rows
 // where the first one wins. Every program x record must agree on the
 // verdict, the rank, each statement's value, logic flag and error text, and
-// the harvested hosts; every match on the selection, the counts and the
-// diagnostics, serial and parallel. A failure prints its seed and program.
+// the harvested hosts; every match on the selection and the counts, serial
+// and parallel. A failure prints its seed and program.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "core/server_matcher.h"
 #include "lang/builtins.h"
 #include "lang/requirement.h"
 #include "outcome_checks.h"
 #include "reference_lang.h"
 #include "util/rng.h"
-
-// --- allocation counting --------------------------------------------------------
-//
-// Replaces the global allocator for this binary so a test can count the
-// allocations one call makes.
-
-namespace {
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_malloc(std::size_t size) noexcept {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(size == 0 ? 1 : size);
-}
-}  // namespace
-
-// Every unaligned form is replaced, so no allocation made here is released
-// by a sanitizer's own operator delete. The replacements pair malloc with
-// free; GCC cannot see that and warns.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  if (void* p = counted_malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace smartsock::lang {
 namespace {
@@ -305,7 +263,6 @@ void expect_same_match(const core::MatchResult& got, const core::MatchResult& wa
   EXPECT_EQ(got.selected, want.selected);
   EXPECT_EQ(got.evaluated, want.evaluated);
   EXPECT_EQ(got.qualified, want.qualified);
-  EXPECT_EQ(got.diagnostics, want.diagnostics);
 }
 
 std::string trace(std::uint64_t seed, const std::string& source) {
@@ -379,12 +336,8 @@ TEST(CompiledMatch, AgreesWithReferenceSerialAndParallel) {
     static const std::size_t kCounts[] = {1, 5, 60, 100};
     const std::size_t count = kCounts[counts.uniform_int(0, 3)];
     core::MatchResult want = reference::match(source, view, count);
-    expect_same_match(serial.match(*requirement, view, count, core::Diagnostics::kCollect), want);
-    expect_same_match(parallel.match(*requirement, view, count, core::Diagnostics::kCollect),
-                      want);
-    core::MatchResult quiet = serial.match(*requirement, view, count);
-    EXPECT_EQ(quiet.selected, want.selected);
-    EXPECT_TRUE(quiet.diagnostics.empty());
+    expect_same_match(serial.match(*requirement, view, count), want);
+    expect_same_match(parallel.match(*requirement, view, count), want);
     if (testing::Test::HasFailure()) return;
   }
 }
@@ -404,7 +357,7 @@ TEST(CompiledMatch, RequirementMovesKeepWorking) {
   core::ServerMatcher matcher;
   for (std::size_t i = 0; i < moved.size(); ++i) {
     SCOPED_TRACE(sources[i]);
-    expect_same_match(matcher.match(moved[i], input, 60, core::Diagnostics::kCollect),
+    expect_same_match(matcher.match(moved[i], input, 60),
                       reference::match(sources[i], input, 60));
   }
 }
@@ -449,7 +402,7 @@ TEST(CompiledMatch, SharedRequirementAcrossThreads) {
   }
   core::ServerMatcher matcher(4);
   for (int round = 0; round < 20; ++round) {
-    expect_same_match(matcher.match(*requirement, view, 25, core::Diagnostics::kCollect), want);
+    expect_same_match(matcher.match(*requirement, view, 25), want);
   }
   for (std::thread& thread : evaluators) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
@@ -465,11 +418,9 @@ struct Counted {
 Counted allocations_in_match(const Requirement& requirement, const core::MatchInput& input) {
   core::ServerMatcher matcher;
   matcher.match(requirement, input, 10);  // warm anything lazily initialised
-  g_allocations.store(0);
-  g_counting.store(true);
+  start_counting_allocations();
   core::MatchResult result = matcher.match(requirement, input, 10);
-  g_counting.store(false);
-  return {g_allocations.load(), result.selected.size()};
+  return {stop_counting_allocations(), result.selected.size()};
 }
 
 core::MatchInput qualifying_records(std::size_t count) {

@@ -14,13 +14,15 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "core/smart_client.h"
 #include "core/wizard.h"
 #include "ipc/in_memory_store.h"
+#include "log_capture.h"
 #include "net/tcp_socket.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "obs/stats_server.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -290,75 +292,60 @@ TEST(Trace, MintIsDeterministicHex16) {
   EXPECT_EQ(id.find_first_not_of("0123456789abcdef"), std::string::npos);
   EXPECT_EQ(id, obs::mint_trace_id(b));            // seeded => reproducible
   EXPECT_NE(id, obs::mint_trace_id(a));            // stream advances
-  EXPECT_EQ(obs::mint_trace_id().size(), 16u);     // global variant
 }
-
-/// Installs a capturing sink + debug level for the test's lifetime.
-class LogCapture {
- public:
-  LogCapture() {
-    previous_level_ = util::Logger::instance().level();
-    util::Logger::instance().set_level(util::LogLevel::kDebug);
-    util::Logger::instance().set_sink(
-        [this](util::LogLevel, std::string_view component, std::string_view message) {
-          std::lock_guard<std::mutex> lock(mu_);
-          lines_.push_back(std::string(component) + ": " + std::string(message));
-        });
-  }
-  ~LogCapture() {
-    util::Logger::instance().set_sink(nullptr);
-    util::Logger::instance().set_level(previous_level_);
-  }
-
-  std::vector<std::string> lines() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return lines_;
-  }
-  std::vector<std::string> grep(const std::string& needle) {
-    std::vector<std::string> out;
-    for (const auto& line : lines()) {
-      if (line.find(needle) != std::string::npos) out.push_back(line);
-    }
-    return out;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> lines_;
-  util::LogLevel previous_level_;
-};
 
 TEST(Trace, EventFormatsKeyValues) {
   LogCapture capture;
+  obs::SpanStore store(4);
+  std::uint64_t span_id = 0;
   {
-    obs::TraceEvent(util::LogLevel::kDebug, "test", "demo", "00ff00ff00ff00ff")
-        .kv("seq", 12u)
-        .kv("host", "alpha")
-        .kv("note", "two words")
-        .kv("ok", true);
+    obs::Span span("test", "demo", "00ff00ff00ff00ff", 7, store);
+    span_id = span.id();
+    span.tag("seq", 12u).tag("host", "alpha").tag("note", "two words").tag("ok", true);
   }
   auto lines = capture.grep("event=demo");
   ASSERT_EQ(lines.size(), 1u);
   const std::string& line = lines[0];
-  EXPECT_NE(line.find("trace_id=00ff00ff00ff00ff"), std::string::npos) << line;
+  EXPECT_EQ(line.rfind("test: event=demo trace_id=00ff00ff00ff00ff span=", 0), 0u) << line;
+  EXPECT_NE(line.find(" span=" + std::to_string(span_id) + " parent=7 ts_us="),
+            std::string::npos)
+      << line;
   EXPECT_NE(line.find("ts_us="), std::string::npos);
+  EXPECT_NE(line.find(" dur_us="), std::string::npos);
   EXPECT_NE(line.find("seq=12"), std::string::npos);
   EXPECT_NE(line.find("host=alpha"), std::string::npos);
   EXPECT_NE(line.find("note=\"two words\""), std::string::npos);
   EXPECT_NE(line.find("ok=true"), std::string::npos);
+
+  // An untraced span leaves trace_id= out.
+  { obs::Span untraced("test", "bare", "", 0, store); }
+  auto bare = capture.grep("event=bare");
+  ASSERT_EQ(bare.size(), 1u);
+  EXPECT_EQ(bare[0].find("trace_id="), std::string::npos) << bare[0];
 }
 
 TEST(Trace, DisabledLevelEmitsNothing) {
   LogCapture capture;
   util::Logger::instance().set_level(util::LogLevel::kWarn);
-  obs::TraceEvent(util::LogLevel::kDebug, "test", "quiet", "0011223344556677").kv("x", 1);
+  obs::SpanStore store(4);
+  obs::Span span("test", "quiet", "0011223344556677", 0, store);
+  span.tag("x", 1).tag("note", "two words");
+  // At warn the line is never formatted: ending the span allocates nothing.
+  start_counting_allocations();
+  span.end();
+  EXPECT_EQ(stop_counting_allocations(), 0u);
   EXPECT_TRUE(capture.grep("event=quiet").empty());
-}
+  // The ring still records the hop.
+  ASSERT_EQ(store.snapshot().size(), 1u);
+  EXPECT_EQ(store.snapshot()[0].name, "quiet");
 
-std::string extract_trace_id(const std::string& line) {
-  auto pos = line.find("trace_id=");
-  if (pos == std::string::npos) return "";
-  return line.substr(pos + 9, 16);
+  // At debug the same span formats and logs its line.
+  util::Logger::instance().set_level(util::LogLevel::kDebug);
+  obs::Span loud("test", "loud", "0011223344556677", 0, store);
+  start_counting_allocations();
+  loud.end();
+  EXPECT_GT(stop_counting_allocations(), 0u);
+  EXPECT_EQ(capture.grep("event=loud").size(), 1u);
 }
 
 TEST(Trace, IdPropagatesClientToWizardAndBack) {
@@ -383,7 +370,7 @@ TEST(Trace, IdPropagatesClientToWizardAndBack) {
   core::Wizard wizard(wizard_config, store);
   ASSERT_TRUE(wizard.valid()) << wizard.bind_error();
 
-  LogCapture capture;  // after construction: capture only the query's events
+  LogCapture capture;  // after construction: capture only the query's lines
   ASSERT_TRUE(wizard.start());
 
   core::SmartClientConfig client_config;
@@ -396,20 +383,22 @@ TEST(Trace, IdPropagatesClientToWizardAndBack) {
   wizard.stop();
   ASSERT_TRUE(reply.ok) << reply.error;
 
-  // The client-side send event carries the minted id; every hop must carry
-  // the same one. This is the "one grep reconstructs the query" contract.
-  auto sends = capture.grep("event=query_send");
-  ASSERT_FALSE(sends.empty());
-  std::string trace_id = extract_trace_id(sends[0]);
+  // The client's query span carries the minted id; every hop's line must
+  // carry the same one. This is the "one grep reconstructs the query"
+  // contract.
+  auto queries = capture.grep("smart_client: event=query ");
+  ASSERT_EQ(queries.size(), 1u);
+  std::string trace_id = line_trace_id(queries[0]);
   ASSERT_EQ(trace_id.size(), 16u);
 
-  for (const char* event : {"event=query_send", "event=request_dequeue",
-                            "event=match_start", "event=match_end",
-                            "event=reply_send", "event=query_reply"}) {
+  for (const char* event : {"smart_client: event=query ", "smart_client: event=attempt ",
+                            "wizard: event=request ", "wizard: event=handle ",
+                            "wizard: event=match "}) {
     auto lines = capture.grep(event);
-    ASSERT_FALSE(lines.empty()) << "missing " << event;
-    EXPECT_EQ(extract_trace_id(lines[0]), trace_id) << event << ": " << lines[0];
-    EXPECT_NE(lines[0].find("ts_us="), std::string::npos) << lines[0];
+    ASSERT_EQ(lines.size(), 1u) << "missing " << event;
+    EXPECT_EQ(line_trace_id(lines[0]), trace_id) << event << ": " << lines[0];
+    EXPECT_NE(lines[0].find(" ts_us="), std::string::npos) << lines[0];
+    EXPECT_NE(lines[0].find(" dur_us="), std::string::npos) << lines[0];
   }
 }
 

@@ -341,9 +341,6 @@ core::MatchResult match(std::string_view source, const core::MatchView& input,
     if (in_list(denied, host, address)) continue;  // blacklist is absolute
 
     lang::EvalOutcome outcome = evaluator.evaluate(program, record_attributes(input, record));
-    for (const std::string& message : outcome.errors()) {
-      result.diagnostics.push_back(host + ": " + message);
-    }
     if (!outcome.qualified) continue;
 
     ++result.qualified;

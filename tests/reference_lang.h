@@ -92,9 +92,9 @@ lang::AttributeSet sys_record_attributes(const ipc::SysRecord& record);
 /// (absent without one).
 lang::AttributeSet record_attributes(const core::MatchView& input, const ipc::SysRecord& record);
 
-/// The serial map-per-record matcher over `source`'s tree, with
-/// diagnostics: the preferred/denied harvest, secdb/netdb binding, ranking
-/// and caps exactly as the original ServerMatcher did them.
+/// The serial map-per-record matcher over `source`'s tree: the
+/// preferred/denied harvest, secdb/netdb binding, ranking and caps exactly
+/// as the original ServerMatcher did them.
 core::MatchResult match(std::string_view source, const core::MatchView& input, std::size_t count);
 
 }  // namespace smartsock::reference

@@ -11,6 +11,7 @@
 #include "core/wizard.h"
 #include "ipc/in_memory_store.h"
 #include "lang/requirement_cache.h"
+#include "match_diagnostics.h"
 #include "util/counters.h"
 #include "util/lru.h"
 
@@ -160,14 +161,13 @@ TEST(RequirementCache, CachedRequirementSelectsIdenticalServers) {
 
   MatchInput input = mixed_input(64);
   ServerMatcher matcher;
-  MatchResult from_cache =
-      matcher.match(*cached.requirement, input, 12, Diagnostics::kCollect);
-  MatchResult from_fresh = matcher.match(fresh, input, 12, Diagnostics::kCollect);
+  MatchResult from_cache = matcher.match(*cached.requirement, input, 12);
+  MatchResult from_fresh = matcher.match(fresh, input, 12);
 
   EXPECT_EQ(from_cache.selected, from_fresh.selected);
   EXPECT_EQ(from_cache.evaluated, from_fresh.evaluated);
   EXPECT_EQ(from_cache.qualified, from_fresh.qualified);
-  EXPECT_EQ(from_cache.diagnostics, from_fresh.diagnostics);
+  EXPECT_EQ(match_diagnostics(*cached.requirement, input), match_diagnostics(fresh, input));
 }
 
 // --- parallel matcher byte-identity --------------------------------------------
@@ -176,13 +176,11 @@ void expect_identical(const MatchResult& a, const MatchResult& b) {
   EXPECT_EQ(a.selected, b.selected);
   EXPECT_EQ(a.evaluated, b.evaluated);
   EXPECT_EQ(a.qualified, b.qualified);
-  EXPECT_EQ(a.diagnostics, b.diagnostics);
 }
 
 TEST(ParallelMatcher, IdenticalToSerialOnMixedRecords) {
-  // rank ties, preferred + denied hosts, security levels, unmeasured network
-  // paths, and an error-producing statement (undefined variable) all in one
-  // requirement, so the merge must preserve order, ranks and diagnostics.
+  // rank ties and preferred + denied hosts in one requirement, so the merge
+  // must preserve order and ranks.
   const std::string text =
       "host_cpu_free > 0.3\n"
       "rank_by = host_memory_free\n"
@@ -193,27 +191,30 @@ TEST(ParallelMatcher, IdenticalToSerialOnMixedRecords) {
   MatchInput input = mixed_input(257);  // odd size: uneven chunk split
 
   ServerMatcher serial;
-  MatchResult expected = serial.match(requirement, input, 30, Diagnostics::kCollect);
+  MatchResult expected = serial.match(requirement, input, 30);
   EXPECT_GT(expected.selected.size(), 0u);
 
   for (std::size_t threads : {2u, 3u, 8u}) {
     ServerMatcher parallel(threads);
     EXPECT_EQ(parallel.threads(), threads);
-    expect_identical(parallel.match(requirement, input, 30, Diagnostics::kCollect), expected);
+    expect_identical(parallel.match(requirement, input, 30), expected);
   }
 }
 
 TEST(ParallelMatcher, IdenticalDiagnosticsForErroringRequirement) {
   // monitor_network_bw is unbound for group g2 servers: those records error
-  // and the diagnostics must come back in record order.
+  // and qualify under neither matcher; every other record qualifies.
   lang::Requirement requirement = compile("monitor_network_bw > 1\n");
   MatchInput input = mixed_input(100);
 
   ServerMatcher serial;
   ServerMatcher parallel(4);
-  MatchResult expected = serial.match(requirement, input, 60, Diagnostics::kCollect);
-  EXPECT_FALSE(expected.diagnostics.empty());
-  expect_identical(parallel.match(requirement, input, 60, Diagnostics::kCollect), expected);
+  MatchResult expected = serial.match(requirement, input, 60);
+  expect_identical(parallel.match(requirement, input, 60), expected);
+  std::vector<std::string> diagnostics = match_diagnostics(requirement, input);
+  ASSERT_EQ(diagnostics.size(), 33u);  // hosts 2, 5, ..., 98
+  EXPECT_EQ(diagnostics.front().rfind("host2: ", 0), 0u) << diagnostics.front();
+  EXPECT_EQ(expected.qualified + diagnostics.size(), expected.evaluated);
 }
 
 TEST(ParallelMatcher, HandlesEmptyAndTinyInputs) {

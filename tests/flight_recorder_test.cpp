@@ -9,8 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,7 +27,6 @@
 #include "sim/virtual_clock.h"
 #include "transport/receiver.h"
 #include "transport/transmitter.h"
-#include "util/logging.h"
 #include "util/quantile.h"
 #include "util/rng.h"
 

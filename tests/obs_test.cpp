@@ -8,7 +8,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>

@@ -76,9 +76,13 @@ bool Wizard::degraded() const {
   if (config_.staleness_bound <= util::Duration::zero()) return false;
   std::uint64_t newest = store_->newest_sys_update_ns();
   if (newest == 0) return false;  // empty sysdb: nothing to be stale about
+  // Record stamps are on the monitor's clock, which only this host shares
+  // when no receiver sits between them; the receiver notes on our clock
+  // when the feed last moved.
+  std::uint64_t fed = receiver_ != nullptr ? receiver_->fed_at_ns() : newest;
   std::uint64_t now = ipc::steady_now_ns();
   auto bound_ns = static_cast<std::uint64_t>(config_.staleness_bound.count());
-  return now > newest && now - newest > bound_ns;
+  return now > fed && now - fed > bound_ns;
 }
 
 WizardReply Wizard::handle(const UserRequest& request, std::uint64_t parent_span) {

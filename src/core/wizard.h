@@ -64,10 +64,12 @@ struct WizardConfig {
   /// 0 disables both (every request compiles and matches from scratch).
   std::size_t cache_size = 128;
 
-  /// Graceful degradation (ISSUE 3): when the newest sys record is older
-  /// than this bound, the wizard keeps answering from the stale databases
-  /// but marks replies with the `stale` wire flag and raises the
-  /// `wizard_degraded` gauge. Zero (the default) disables the check.
+  /// Graceful degradation: when the feed is older than this bound, the
+  /// wizard keeps answering from the stale databases but marks replies with
+  /// the `stale` wire flag and raises the `wizard_degraded` gauge. With a
+  /// receiver the feed's age is the time since a transfer last raised the
+  /// newest sys stamp (Receiver::fed_at_ns); without one it is the newest
+  /// sys record's age. Zero (the default) disables the check.
   util::Duration staleness_bound{0};
 
   /// Span ring request/handle/match spans record into (ISSUE 9): lets the

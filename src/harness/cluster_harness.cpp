@@ -174,8 +174,8 @@ bool ClusterHarness::start() {
   if (!system_monitor_->start()) return false;
   security_monitor_->refresh_once();
   network_monitor_->measure_all_once();
-  if (!security_monitor_->start()) return false;
-  if (!network_monitor_->start()) return false;
+  security_monitor_->start(loop_);
+  network_monitor_->start(loop_);
 
   if (options_.mode == transport::TransferMode::kCentralized) {
     for (auto& replica : replicas_) {
@@ -190,20 +190,27 @@ bool ClusterHarness::start() {
   }
 
   for (auto& host : hosts_) {
-    if (!host->probe->start()) return false;
+    host->probe->start(loop_);
   }
-
-  stop_requested_.store(false, std::memory_order_release);
-  ticker_ = std::thread([this] { ticker_loop(); });
+  ticker_.start(
+      loop_, std::chrono::milliseconds(25),
+      [this, last = util::SteadyClock::instance().now()]() mutable {
+        util::Duration now = util::SteadyClock::instance().now();
+        double dt = util::to_seconds(now - last);
+        last = now;
+        for (auto& host : hosts_) {
+          host->sim.procfs().tick(dt);
+        }
+      },
+      "harness_tick");
+  if (!loop_.start()) return false;
   started_ = true;
   return true;
 }
 
 void ClusterHarness::stop() {
   if (!started_) return;
-  stop_requested_.store(true, std::memory_order_release);
-  if (ticker_.joinable()) ticker_.join();
-
+  ticker_.stop();
   for (auto& host : hosts_) {
     if (host->probe) host->probe->stop();
     if (host->worker) host->worker->stop();
@@ -221,21 +228,8 @@ void ClusterHarness::stop() {
   if (network_monitor_) network_monitor_->stop();
   if (security_monitor_) security_monitor_->stop();
   if (system_monitor_) system_monitor_->stop();
+  loop_.stop();
   started_ = false;
-}
-
-void ClusterHarness::ticker_loop() {
-  util::Clock& clock = util::SteadyClock::instance();
-  util::Duration last = clock.now();
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    clock.sleep_for(std::chrono::milliseconds(25));
-    util::Duration now = clock.now();
-    double dt = util::to_seconds(now - last);
-    last = now;
-    for (auto& host : hosts_) {
-      host->sim.procfs().tick(dt);
-    }
-  }
 }
 
 bool ClusterHarness::wait_for_all_reports(util::Duration timeout) {
@@ -395,10 +389,7 @@ bool ClusterHarness::refresh_now(util::Duration timeout) {
   std::uint64_t fired_at = ipc::steady_now_ns();
   std::size_t live = 0;
   for (auto& host : hosts_) {
-    if (host->probe->running()) {
-      host->probe->probe_once();
-      ++live;
-    }
+    if (host->probe->report_now()) ++live;
   }
   // Wait until the monitor has ingested a fresh record per live probe.
   util::Clock& clock = util::SteadyClock::instance();
@@ -411,8 +402,12 @@ bool ClusterHarness::refresh_now(util::Duration timeout) {
     if (fresh >= live || clock.now() >= deadline) break;
     clock.sleep_for(std::chrono::milliseconds(10));
   }
-  security_monitor_->refresh_once();
-  network_monitor_->measure_all_once();
+  // On the loop, so a forced cycle never overlaps a periodic one (§3.3.3:
+  // probes must not run simultaneously).
+  loop_.run_on_loop([this] {
+    security_monitor_->refresh_once();
+    network_monitor_->measure_all_once();
+  });
   if (options_.mode == transport::TransferMode::kCentralized) {
     if (!transmitter_->transmit_once()) return false;
     // transmit_once returns once the snapshot is *sent*; the receiver

@@ -10,9 +10,10 @@
 //     wizard-side store (centralized push or distributed pull),
 //   * the wizard answering client requests over UDP.
 //
-// A ticker thread advances every simulated procfs in real time so probe
-// rates are meaningful; workload changes are fast-forwarded so load
-// averages converge immediately (the kernel would need minutes).
+// A loop timer advances every simulated procfs in real time so probe rates
+// are meaningful; workload changes are fast-forwarded so load averages
+// converge immediately (the kernel would need minutes). That timer, every
+// probe and the network and security monitors share one net::Reactor.
 #pragma once
 
 #include <map>
@@ -28,6 +29,7 @@
 #include "monitor/network_monitor.h"
 #include "monitor/security_monitor.h"
 #include "monitor/system_monitor.h"
+#include "net/reactor.h"
 #include "obs/span.h"
 #include "obs/stats_server.h"
 #include "probe/server_probe.h"
@@ -115,6 +117,9 @@ class ClusterHarness {
   core::Wizard* wizard() { return replicas_[0]->wizard.get(); }
   monitor::SystemMonitor* system_monitor() { return system_monitor_.get(); }
   const HarnessOptions& options() const { return options_; }
+  /// The loop that runs the procfs ticker, the probes and the network and
+  /// security monitors (restart a stopped probe on it).
+  net::Reactor& loop() { return loop_; }
 
   // --- wizard replica set (ISSUE 8) ---------------------------------------
   std::size_t wizard_replica_count() const { return replicas_.size(); }
@@ -184,9 +189,11 @@ class ClusterHarness {
     net::Endpoint stats_endpoint;  // remembered across a kill
   };
 
-  void ticker_loop();
-
   HarnessOptions options_;
+
+  // Declared before every component started on it, so each is stopped
+  // before the loop is destroyed.
+  net::Reactor loop_;
 
   std::vector<std::unique_ptr<HarnessHost>> hosts_;
   ipc::InMemoryStatusStore monitor_store_;
@@ -207,8 +214,7 @@ class ClusterHarness {
   std::mutex metrics_mu_;
   std::map<std::string, std::pair<double, double>> group_metrics_;
 
-  std::thread ticker_;
-  std::atomic<bool> stop_requested_{false};
+  net::PeriodicJob ticker_;
   bool started_ = false;
 };
 

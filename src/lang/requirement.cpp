@@ -37,16 +37,4 @@ std::optional<Requirement> Requirement::load_file(const std::string& path, std::
   return compile(buffer.str(), error);
 }
 
-EvalOutcome Requirement::evaluate(const AttributeSet& attrs) const {
-  Binding binding;
-  binding.extensions = &attrs;
-  for (std::size_t i = 0; i < kServerSlotCount; ++i) {
-    auto slot = static_cast<ServerSlot>(i);
-    if (!(slots_read() & slot_bit(slot))) continue;
-    auto it = attrs.find(server_slot_name(slot));
-    if (it != attrs.end()) binding.set(slot, it->second);
-  }
-  return program_.explain(binding);
-}
-
 }  // namespace smartsock::lang

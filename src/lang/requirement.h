@@ -39,12 +39,6 @@ class Requirement {
   /// error text: the diagnostics path.
   EvalOutcome explain(const Binding& binding) const { return program_.explain(binding); }
 
-  /// Evaluates against one server's attributes, bound by name.
-  EvalOutcome evaluate(const AttributeSet& attrs) const;
-
-  /// True if the server described by `attrs` qualifies.
-  bool qualifies(const AttributeSet& attrs) const { return evaluate(attrs).qualified; }
-
   /// Server slots the requirement reads.
   SlotMask slots_read() const { return program_.slots_read(); }
 

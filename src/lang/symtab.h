@@ -50,8 +50,8 @@ std::string_view server_slot_name(ServerSlot slot);
 /// The slot `name` denotes, if it is a server-side or monitor variable.
 std::optional<ServerSlot> find_server_slot(std::string_view name);
 
-/// Attribute values for one candidate server, keyed by variable name: the
-/// name binding Requirement::evaluate(const AttributeSet&) reads.
+/// Attribute values for one candidate server, keyed by variable name: what
+/// a Binding's extensions hold (and the tests' name binding reads).
 using AttributeSet = std::map<std::string, double, std::less<>>;
 
 /// The canonical 22 server-side variable names (Appendix B.1).

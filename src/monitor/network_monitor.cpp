@@ -45,32 +45,11 @@ util::Duration NetworkMonitor::recommended_interval(std::size_t groups,
   return per_path * static_cast<int>(paths);
 }
 
-bool NetworkMonitor::start() {
-  if (thread_.joinable()) return false;
-  stop_requested_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { run_loop(); });
-  return true;
+bool NetworkMonitor::start(net::Reactor& loop) {
+  return cycle_.start(loop, config_.interval, [this] { measure_all_once(); }, "netmon_measure");
 }
 
-void NetworkMonitor::stop() {
-  stop_requested_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
-
-void NetworkMonitor::run_loop() {
-  util::Clock& clock = util::SteadyClock::instance();
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    measure_all_once();
-    util::Duration remaining = config_.interval;
-    const util::Duration slice = std::chrono::milliseconds(20);
-    while (remaining > util::Duration::zero() &&
-           !stop_requested_.load(std::memory_order_acquire)) {
-      util::Duration step = std::min(remaining, slice);
-      clock.sleep_for(step);
-      remaining -= step;
-    }
-  }
-}
+void NetworkMonitor::stop() { cycle_.stop(); }
 
 MeasureFn measure_sim_path(sim::NetworkPath& path) {
   return [&path]() -> std::optional<bwest::BwEstimate> {

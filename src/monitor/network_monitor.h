@@ -14,11 +14,11 @@
 #include <atomic>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bwest/estimate.h"
 #include "ipc/status_store.h"
+#include "net/reactor.h"
 #include "util/clock.h"
 
 namespace smartsock::monitor {
@@ -54,20 +54,22 @@ class NetworkMonitor {
   static util::Duration recommended_interval(std::size_t groups,
                                              util::Duration per_path = std::chrono::seconds(2));
 
-  bool start();
+  /// Measures at once, then every config.interval as the `netmon_measure`
+  /// timer on `loop`. A measurement blocks the loop for as long as its
+  /// targets take (an unreachable UDP echo: up to 16 probes x 250 ms), so
+  /// daemons give this monitor a loop of its own. stop() cancels the timer;
+  /// stop before `loop` is destroyed.
+  bool start(net::Reactor& loop);
   void stop();
 
   std::uint64_t measurements() const { return measurements_.load(std::memory_order_relaxed); }
 
  private:
-  void run_loop();
-
   NetworkMonitorConfig config_;
   ipc::StatusStore* store_;
   std::vector<NetworkTarget> targets_;
 
-  std::thread thread_;
-  std::atomic<bool> stop_requested_{false};
+  net::PeriodicJob cycle_;
   std::atomic<std::uint64_t> measurements_{0};
 };
 

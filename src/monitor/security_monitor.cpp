@@ -61,31 +61,10 @@ std::size_t SecurityMonitor::refresh_once() {
   return levels.size();
 }
 
-bool SecurityMonitor::start() {
-  if (thread_.joinable()) return false;
-  stop_requested_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { run_loop(); });
-  return true;
+bool SecurityMonitor::start(net::Reactor& loop) {
+  return cycle_.start(loop, config_.interval, [this] { refresh_once(); }, "secmon_refresh");
 }
 
-void SecurityMonitor::stop() {
-  stop_requested_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
-
-void SecurityMonitor::run_loop() {
-  util::Clock& clock = util::SteadyClock::instance();
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    refresh_once();
-    util::Duration remaining = config_.interval;
-    const util::Duration slice = std::chrono::milliseconds(20);
-    while (remaining > util::Duration::zero() &&
-           !stop_requested_.load(std::memory_order_acquire)) {
-      util::Duration step = std::min(remaining, slice);
-      clock.sleep_for(step);
-      remaining -= step;
-    }
-  }
-}
+void SecurityMonitor::stop() { cycle_.stop(); }
 
 }  // namespace smartsock::monitor

@@ -8,14 +8,13 @@
 // comments) and an in-memory implementation for tests/harness.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "ipc/status_store.h"
+#include "net/reactor.h"
 #include "util/clock.h"
 
 namespace smartsock::monitor {
@@ -68,18 +67,17 @@ class SecurityMonitor {
   /// One poll: reads the source and refreshes secdb. Returns hosts stored.
   std::size_t refresh_once();
 
-  bool start();
+  /// Refreshes at once, then every config.interval as the `secmon_refresh`
+  /// timer on `loop`. stop() cancels it; stop before `loop` is destroyed.
+  bool start(net::Reactor& loop);
   void stop();
 
  private:
-  void run_loop();
-
   SecurityMonitorConfig config_;
   std::unique_ptr<SecuritySource> source_;
   ipc::StatusStore* store_;
 
-  std::thread thread_;
-  std::atomic<bool> stop_requested_{false};
+  net::PeriodicJob cycle_;
 };
 
 }  // namespace smartsock::monitor

@@ -904,4 +904,30 @@ void Reactor::watchdog_main() {
   if (flagged) stalled_gauge_->add(-1);
 }
 
+// --- periodic jobs ------------------------------------------------------------
+
+bool PeriodicJob::start(Reactor& loop, util::Duration interval, std::function<void()> fn,
+                        std::string label) {
+  if (loop_ != nullptr) return false;
+  loop_ = &loop;
+  // Both steps on the loop thread, so the first run cannot fire before
+  // timer_ holds its id.
+  loop.run_on_loop([&] {
+    timer_ = loop.add_periodic(interval, std::move(fn), std::move(label));
+    loop.rearm_timer(timer_, util::Duration::zero());
+  });
+  return true;
+}
+
+void PeriodicJob::stop() {
+  if (loop_ == nullptr) return;
+  loop_->cancel_timer(timer_);
+  loop_ = nullptr;
+  timer_ = 0;
+}
+
+bool PeriodicJob::run_now() {
+  return loop_ != nullptr && loop_->rearm_timer(timer_, util::Duration::zero());
+}
+
 }  // namespace smartsock::net

@@ -396,4 +396,29 @@ class Reactor {
   bool watchdog_stop_ = false;
 };
 
+/// Periodic work on a loop: `fn` runs once at start(), then every `interval`
+/// until stop(), as one timer labelled `label`. Start and stop from one
+/// controlling thread; stop before the loop is destroyed.
+class PeriodicJob {
+ public:
+  PeriodicJob() = default;
+  ~PeriodicJob() { stop(); }
+
+  PeriodicJob(const PeriodicJob&) = delete;
+  PeriodicJob& operator=(const PeriodicJob&) = delete;
+
+  /// False if already started.
+  bool start(Reactor& loop, util::Duration interval, std::function<void()> fn,
+             std::string label);
+  /// Cancels the timer on the loop thread: once this returns, no run is in
+  /// progress and none follows.
+  void stop();
+  /// Moves the next run to now. False when not started.
+  bool run_now();
+
+ private:
+  Reactor* loop_ = nullptr;
+  TimerId timer_ = 0;
+};
+
 }  // namespace smartsock::net

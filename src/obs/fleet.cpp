@@ -94,20 +94,10 @@ FleetAggregator::~FleetAggregator() {
 }
 
 void FleetAggregator::start() {
-  if (started_) return;
-  started_ = true;
-  sweep_timer_ = reactor_->add_periodic(config_.scrape_interval,
-                                        [this] { begin_sweep(); }, "fleet_sweep");
-  // First sweep right away instead of one interval out.
-  reactor_->post([this] { begin_sweep(); });
+  sweep_.start(*reactor_, config_.scrape_interval, [this] { begin_sweep(); }, "fleet_sweep");
 }
 
-void FleetAggregator::stop() {
-  if (!started_) return;
-  started_ = false;
-  reactor_->cancel_timer(sweep_timer_);
-  sweep_timer_ = 0;
-}
+void FleetAggregator::stop() { sweep_.stop(); }
 
 void FleetAggregator::sweep_now() {
   reactor_->post([this] { begin_sweep(); });

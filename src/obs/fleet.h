@@ -175,8 +175,7 @@ class FleetAggregator {
   net::Reactor* reactor_;
   MetricsRegistry* merged_;
   std::uint64_t collector_id_ = 0;
-  net::TimerId sweep_timer_ = 0;
-  bool started_ = false;
+  net::PeriodicJob sweep_;
 
   mutable std::mutex mu_;
   std::vector<InstanceState> instances_;

@@ -22,31 +22,6 @@ StatsServer::StatsServer(StatsServerConfig config, MetricsRegistry& registry)
 
 StatsServer::~StatsServer() { stop(); }
 
-bool StatsServer::serve_once(util::Duration timeout) {
-  if (!listener_.valid()) return false;
-  auto connection = listener_.accept(timeout);
-  if (!connection) return false;
-  connection->set_receive_timeout(config_.command_timeout);
-  connection->set_send_timeout(config_.io_timeout);
-
-  // One short command line; EOF or timeout before the newline means default.
-  // The per-byte receive timeout bounds each read, and the overall deadline
-  // bounds the whole line, so a slow-drip client cannot wedge this thread.
-  util::Stopwatch watch(util::SteadyClock::instance());
-  std::string command;
-  std::string ch;
-  while (command.size() < 64) {
-    auto io = connection->receive_exact(ch, 1);
-    if (!io.ok() || ch[0] == '\n') break;
-    if (ch[0] != '\r') command += ch[0];
-    if (watch.elapsed() > config_.command_timeout) break;
-  }
-
-  connection->send_all(render(command));
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 namespace {
 
 std::string error_body(std::string_view message) {
@@ -173,9 +148,9 @@ std::string StatsServer::render(std::string_view command_line) {
   }
 
   if (verb == "profile") {
-    // Blocking entry point (serve_once / tests): the session runs inline and
-    // this thread sleeps for the duration. Started servers never get here —
-    // reply() intercepts the verb and runs the session off a loop timer.
+    // Blocking entry point (tests): the session runs inline and this thread
+    // sleeps for the duration. Started servers never get here — reply()
+    // intercepts the verb and runs the session off a loop timer.
     ProfileArgs args = parse_profile(words);
     if (!args.ok) return error_body(args.error);
     if (Profiler::instance().running()) {
@@ -203,9 +178,9 @@ bool StatsServer::dump_now() {
 // --- reactor-hosted serving (ISSUE 6) -----------------------------------------
 //
 // One admin connection = one Connection object + two loop timers: the
-// command deadline (reply with whatever arrived, like the blocking path's
-// slow-drip bound) and the write deadline (a client that never reads cannot
-// pin the buffered reply forever).
+// command deadline (reply with whatever arrived, so a slow-drip client is
+// bounded) and the write deadline (a client that never reads cannot pin the
+// buffered reply forever).
 
 struct StatsServer::ClientState {
   std::string command;
@@ -348,6 +323,11 @@ bool StatsServer::start() {
     dump_timer_ = reactor_->add_periodic(config_.dump_interval, [this] { dump_now(); },
                                          "stats_dump");
   }
+  if (TimeSeriesRecorder* history = config_.history) {
+    history->sample_once();
+    history_timer_ = reactor_->add_periodic(
+        history->interval(), [history] { history->sample_once(); }, "stats_history");
+  }
   if (own_reactor_ && !own_reactor_->start()) {
     own_reactor_.reset();
     reactor_ = nullptr;
@@ -363,15 +343,15 @@ void StatsServer::stop() {
   reactor->run_on_loop([this] {
     if (listener_id_ != 0) reactor_->remove_listener(listener_id_);
     if (dump_timer_ != 0) reactor_->cancel_timer(dump_timer_);
+    if (history_timer_ != 0) reactor_->cancel_timer(history_timer_);
     std::vector<net::Connection*> open(clients_.begin(), clients_.end());
     for (net::Connection* client : open) client->close_now();
   });
   listener_id_ = 0;
   dump_timer_ = 0;
+  history_timer_ = 0;
   own_reactor_.reset();
   reactor_ = nullptr;
-  // serve_once() (the blocking path) stays usable after stop().
-  listener_.set_nonblocking(false);
 }
 
 }  // namespace smartsock::obs

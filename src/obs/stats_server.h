@@ -23,12 +23,13 @@
 // Since ISSUE 6 the served side runs on a net::Reactor: started servers
 // multiplex every admin client on one event loop (their own, or a shared
 // per-daemon loop via config.reactor) instead of serving connections one at
-// a time, and the command/write deadlines are loop timers. The blocking
-// serve_once() entry point is unchanged for polling/tests.
+// a time, and the command/write deadlines are loop timers.
 //
-// Optionally the server also appends a compact JSON snapshot line to a file
-// every `dump_interval` (JSONL, one object per line) so the cluster harness
-// can post-mortem a run without having polled the port.
+// The same loop runs the server's periodic work: it samples the
+// config.history recorder at start and then every recorder interval, and
+// optionally appends a compact JSON snapshot line to a file every
+// `dump_interval` (JSONL, one object per line) so the cluster harness can
+// post-mortem a run without having polled the port.
 #pragma once
 
 #include <atomic>
@@ -63,7 +64,8 @@ struct StatsServerConfig {
   std::string dump_path;
   /// Flight-recorder surfaces (ISSUE 4). `spans` defaults to the process
   /// ring; `history`/`health` are opt-in because they carry their own
-  /// threads/state — a null pointer turns the command into a JSON error.
+  /// state — a null pointer turns the command into a JSON error. A started
+  /// server samples `history` on its loop.
   SpanStore* spans = &SpanStore::instance();
   TimeSeriesRecorder* history = nullptr;
   HealthEngine* health = nullptr;
@@ -94,14 +96,11 @@ class StatsServer {
   bool start();
   void stop();
 
-  /// Serves at most one connection (polling/test entry point).
-  bool serve_once(util::Duration timeout);
-
   /// Appends one compact snapshot line to `dump_path` now. Returns false if
   /// no dump path is configured or the file cannot be opened.
   bool dump_now();
 
-  /// Renders the reply body for one command line (what serve_once writes).
+  /// Renders the reply body for one command line (what a client is sent).
   /// Exposed so tests can exercise the protocol without a socket.
   std::string render(std::string_view command_line);
 
@@ -125,6 +124,7 @@ class StatsServer {
   net::Reactor* reactor_ = nullptr;  // non-null while started
   net::ListenerId listener_id_ = 0;
   net::TimerId dump_timer_ = 0;
+  net::TimerId history_timer_ = 0;
   std::unordered_set<net::Connection*> clients_;  // loop-thread-only
 
   std::atomic<std::uint64_t> requests_served_{0};

@@ -33,8 +33,6 @@ TimeSeriesRecorder::TimeSeriesRecorder(TimeSeriesConfig config, MetricsRegistry&
   if (config_.capacity == 0) config_.capacity = 1;
 }
 
-TimeSeriesRecorder::~TimeSeriesRecorder() { stop(); }
-
 void TimeSeriesRecorder::sample_once() {
   Snapshot snap = registry_->snapshot();
   auto ts_us = static_cast<std::uint64_t>(
@@ -153,33 +151,6 @@ std::vector<std::string> TimeSeriesRecorder::metric_names() const {
   out.reserve(series_.size());
   for (const auto& [name, series] : series_) out.push_back(name);
   return out;
-}
-
-bool TimeSeriesRecorder::start() {
-  if (thread_.joinable()) return false;
-  stop_requested_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { run_loop(); });
-  return true;
-}
-
-void TimeSeriesRecorder::stop() {
-  stop_requested_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
-
-void TimeSeriesRecorder::run_loop() {
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    sample_once();
-    // Sliced sleep so stop() is honored promptly even on long intervals.
-    util::Duration remaining = config_.interval;
-    const util::Duration slice = std::chrono::milliseconds(20);
-    while (remaining > util::Duration::zero() &&
-           !stop_requested_.load(std::memory_order_acquire)) {
-      util::Duration step = std::min(remaining, slice);
-      clock_->sleep_for(step);
-      remaining -= step;
-    }
-  }
 }
 
 std::string TimeSeriesRecorder::History::to_json() const {

@@ -2,10 +2,11 @@
 //
 // A MetricsRegistry snapshot answers "what is the value now"; this recorder
 // answers "what did it look like over the last minute" without external
-// scraping. A background thread (or an explicit sample_once() in tests)
-// sweeps the registry every `interval` and appends one point per metric to
-// a fixed-capacity ring: counters and gauges keep their value, histograms
-// keep count + the P² sketch's p50/p90/p99 at sample time.
+// scraping. Each sample_once() sweeps the registry and appends one point per
+// metric to a fixed-capacity ring: counters and gauges keep their value,
+// histograms keep count + the P² sketch's p50/p90/p99 at sample time. A
+// started StatsServer whose config names the recorder samples it on its
+// loop every `interval`; tests call sample_once() on a virtual clock.
 //
 // history(metric, window) folds the retained points into fixed-width
 // aggregation windows — min/max/last, per-second rate for counters, tail
@@ -19,7 +20,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -69,17 +69,15 @@ class TimeSeriesRecorder {
   explicit TimeSeriesRecorder(TimeSeriesConfig config = {},
                               MetricsRegistry& registry = MetricsRegistry::instance(),
                               util::Clock& clock = util::SteadyClock::instance());
-  ~TimeSeriesRecorder();
 
   TimeSeriesRecorder(const TimeSeriesRecorder&) = delete;
   TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
 
-  /// One sweep of the registry at the clock's current time (the background
-  /// loop calls this; tests drive it directly on a virtual clock).
+  /// One sweep of the registry at the clock's current time.
   void sample_once();
 
-  bool start();
-  void stop();
+  /// How often the owning stats server samples.
+  util::Duration interval() const { return config_.interval; }
 
   /// Folds the retained points for `metric` into windows of `window` each.
   /// found == false when the metric has never been sampled; `window` <= 0
@@ -98,8 +96,6 @@ class TimeSeriesRecorder {
     std::deque<Point> points;
   };
 
-  void run_loop();
-
   TimeSeriesConfig config_;
   MetricsRegistry* registry_;
   util::Clock* clock_;
@@ -107,8 +103,6 @@ class TimeSeriesRecorder {
   mutable std::mutex mu_;
   std::map<std::string, Series> series_;
 
-  std::thread thread_;
-  std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint64_t> samples_taken_{0};
 };
 

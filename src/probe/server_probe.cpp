@@ -57,9 +57,8 @@ StatusReport make_report(const ProbeConfig& config, const ProcSample& before,
   return report;
 }
 
-ServerProbe::ServerProbe(ProbeConfig config, std::unique_ptr<ProcSource> source,
-                         util::Clock& clock)
-    : config_(std::move(config)), source_(std::move(source)), clock_(&clock) {
+ServerProbe::ServerProbe(ProbeConfig config, std::unique_ptr<ProcSource> source)
+    : config_(std::move(config)), source_(std::move(source)) {
   if (auto sock = net::UdpSocket::create()) {
     socket_ = std::move(*sock);
     socket_.set_traffic_counter(
@@ -75,7 +74,7 @@ std::optional<StatusReport> ServerProbe::build_report() {
   std::lock_guard<std::mutex> lock(sample_mu_);
   auto sample = source_->sample();
   if (!sample) return std::nullopt;
-  util::Duration now = clock_->now();
+  util::Duration now = util::SteadyClock::instance().now();
 
   if (!previous_) {
     previous_ = sample;
@@ -119,36 +118,17 @@ bool ServerProbe::probe_once() {
   return result.ok();
 }
 
-bool ServerProbe::start() {
-  if (running_.load(std::memory_order_acquire)) return false;
-  stop_requested_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { run_loop(); });
-  return true;
+bool ServerProbe::start(net::Reactor& loop) {
+  return cycle_.start(
+      loop, config_.interval,
+      [this] {
+        if (!probe_once()) {
+          SMARTSOCK_LOG(kWarn, "probe") << config_.host << ": probe cycle failed";
+        }
+      },
+      "probe_cycle");
 }
 
-void ServerProbe::stop() {
-  stop_requested_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-  running_.store(false, std::memory_order_release);
-}
-
-void ServerProbe::run_loop() {
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    if (!probe_once()) {
-      SMARTSOCK_LOG(kWarn, "probe") << config_.host << ": probe cycle failed";
-    }
-    // Sleep in small slices so stop() is responsive.
-    util::Duration remaining = config_.interval;
-    const util::Duration slice = std::chrono::milliseconds(20);
-    while (remaining > util::Duration::zero() &&
-           !stop_requested_.load(std::memory_order_acquire)) {
-      util::Duration step = std::min(remaining, slice);
-      clock_->sleep_for(step);
-      remaining -= step;
-    }
-  }
-  running_.store(false, std::memory_order_release);
-}
+void ServerProbe::stop() { cycle_.stop(); }
 
 }  // namespace smartsock::probe

@@ -4,7 +4,7 @@
 // (the thesis uses 2-10 s), converts two consecutive cumulative samples into
 // rates, and fires the ASCII report at the system monitor over UDP. CPU
 // rates come from jiffy deltas (interval-exact); disk/net rates divide by
-// the wall-clock sampling gap.
+// the steady-clock sampling gap.
 #pragma once
 
 #include <atomic>
@@ -12,8 +12,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 
+#include "net/reactor.h"
 #include "net/udp_socket.h"
 #include "obs/metrics.h"
 #include "probe/proc_reader.h"
@@ -39,10 +39,8 @@ struct ProbeConfig {
 
 class ServerProbe {
  public:
-  /// `source` provides procfs snapshots (real or simulated); `clock` paces
-  /// the reporting loop.
-  ServerProbe(ProbeConfig config, std::unique_ptr<ProcSource> source,
-              util::Clock& clock = util::SteadyClock::instance());
+  /// `source` provides procfs snapshots (real or simulated).
+  ServerProbe(ProbeConfig config, std::unique_ptr<ProcSource> source);
   ~ServerProbe();
 
   ServerProbe(const ServerProbe&) = delete;
@@ -55,31 +53,28 @@ class ServerProbe {
   /// build_report() + UDP send. Returns false if sampling or send failed.
   bool probe_once();
 
-  /// Starts/stops the background reporting thread.
-  bool start();
+  /// Reports at once, then every config.interval as the `probe_cycle`
+  /// timer on `loop`. stop() cancels it; stop before `loop` is destroyed.
+  bool start(net::Reactor& loop);
   void stop();
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  /// Moves the next report to now; false (and silent) when not started.
+  bool report_now() { return cycle_.run_now(); }
 
   const ProbeConfig& config() const { return config_; }
   std::uint64_t reports_sent() const { return reports_sent_.load(std::memory_order_relaxed); }
 
  private:
-  void run_loop();
-
   ProbeConfig config_;
   std::unique_ptr<ProcSource> source_;
-  util::Clock* clock_;
   net::UdpSocket socket_;
 
-  // Guards the sampling state: probe_once may be invoked both by the
-  // background loop and externally (test/harness "report now" nudges).
+  // Guards the sampling state: probe_once may be invoked both by the loop
+  // timer and directly by a caller.
   std::mutex sample_mu_;
   std::optional<ProcSample> previous_;
   util::Duration previous_time_{0};
 
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_requested_{false};
+  net::PeriodicJob cycle_;
   std::atomic<std::uint64_t> reports_sent_{0};
   obs::Counter* reports_counter_ = nullptr;  // registry mirror of the above
   obs::Counter* sample_failures_ = nullptr;

@@ -86,8 +86,8 @@ class SimProcFs {
   double bogomips_;        // immutable after construction, no lock
   std::uint64_t memory_total_;  // immutable after construction, no lock
 
-  // Guards everything below: tick() advances from the harness ticker thread
-  // while probe threads render and tests read the scalars.
+  // Guards everything below: tick() advances from the harness's loop timer
+  // while probes render and tests read the scalars.
   mutable std::mutex mutex_;
 
   HostActivity activity_;

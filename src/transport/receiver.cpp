@@ -33,8 +33,8 @@ bool apply_upserts(std::string_view payload, Put put) {
 
 }  // namespace
 
-// One transfer's frame state machine. The blocking path feeds it whole
-// frames from read_frame; the reactor path feeds it frames cut out of the
+// One transfer's frame state machine. The pull path feeds it whole frames
+// from read_frame; the reactor path feeds it frames cut out of the
 // connection's input buffer by try_parse_frame. Both end in finish(), which
 // seals the span and the counters exactly once.
 struct Receiver::IngestSession {
@@ -234,10 +234,23 @@ struct Receiver::IngestSession {
       owner->deltas_applied_.fetch_add(1, std::memory_order_relaxed);
       owner->deltas_applied_counter_->inc();
     }
-    if (applied) owner->snapshots_received_.fetch_add(1, std::memory_order_relaxed);
+    if (applied) {
+      owner->note_feed();
+      // Release: a caller that sees the count also sees fed_at_ns().
+      owner->snapshots_received_.fetch_add(1, std::memory_order_release);
+    }
     return applied;
   }
 };
+
+void Receiver::note_feed() {
+  std::uint64_t newest = store_->newest_sys_update_ns();
+  std::lock_guard<std::mutex> lock(replica_mu_);
+  if (newest > newest_fed_ns_) {
+    fed_at_ns_.store(ipc::steady_now_ns(), std::memory_order_relaxed);
+  }
+  newest_fed_ns_ = newest;
+}
 
 Receiver::Receiver(ReceiverConfig config, ipc::StatusStore& store)
     : config_(std::move(config)),
@@ -293,7 +306,7 @@ void Receiver::arm_idle_timer(net::Connection& client, ClientState& state) {
   if (!client.alive()) return;  // on_close already cancelled the timers
   if (state.idle_timer != 0) reactor_->cancel_timer(state.idle_timer);
   net::Connection* raw = &client;
-  // Matches the blocking path's receive timeout: a transmitter that stalls
+  // Matches the pull path's receive timeout: a transmitter that stalls
   // mid-transfer is a truncated stream, not a clean end.
   state.idle_timer = reactor_->add_timer(config_.io_timeout, [raw] {
     auto held = std::static_pointer_cast<ClientState>(raw->user_data);
@@ -369,13 +382,6 @@ void Receiver::on_client(net::TcpSocket socket) {
   arm_idle_timer(*client, *state);
 }
 
-bool Receiver::accept_once(util::Duration timeout) {
-  if (!listener_.valid()) return false;
-  auto client = listener_.accept(timeout);
-  if (!client) return false;
-  return ingest(*client);
-}
-
 bool Receiver::pull_once(const net::Endpoint& transmitter) {
   auto socket = net::TcpSocket::connect(transmitter, config_.io_timeout);
   if (!socket) {
@@ -436,8 +442,6 @@ void Receiver::stop() {
   listener_id_ = 0;
   own_reactor_.reset();
   reactor_ = nullptr;
-  // accept_once() (the blocking path) stays usable after stop().
-  listener_.set_nonblocking(false);
 }
 
 }  // namespace smartsock::transport

@@ -18,7 +18,13 @@
 // transmitter becomes one Connection whose buffered input is fed through the
 // incremental frame parser, so many concurrent pushes interleave on one
 // loop thread instead of serializing behind a blocking accept loop. The
-// blocking accept_once()/pull_from() entry points are unchanged.
+// distributed-mode pull_from() stays a blocking call on the caller's thread.
+//
+// Feed age: record stamps are the monitor's steady clock, shipped byte for
+// byte, so on another host they say nothing about how old the feed is here.
+// The receiver notes on its own clock when a transfer last raised the
+// newest sys stamp (fed_at_ns()); a wizard built with its receiver measures
+// staleness from that note.
 #pragma once
 
 #include <atomic>
@@ -73,16 +79,12 @@ class Receiver {
   bool start();
   void stop();
 
-  /// Accepts and ingests at most one transmitter connection (polling entry
-  /// point). Returns true if a snapshot was applied.
-  bool accept_once(util::Duration timeout);
-
   /// Distributed mode: connects to a passive transmitter, requests an
   /// update and ingests the reply. Returns true on success.
   bool pull_from(const net::Endpoint& transmitter);
 
   std::uint64_t snapshots_received() const {
-    return snapshots_received_.load(std::memory_order_relaxed);
+    return snapshots_received_.load(std::memory_order_acquire);
   }
   /// Highest source (monitor-store) version committed by any transmitter's
   /// kDeltaCommit so far. Unlike the local store's write counter, this value
@@ -103,10 +105,13 @@ class Receiver {
   std::uint64_t malformed_frames() const {
     return malformed_frames_.load(std::memory_order_relaxed);
   }
+  /// ipc::steady_now_ns() on this host when an applied transfer last raised
+  /// the store's newest sys stamp; zero until one has.
+  std::uint64_t fed_at_ns() const { return fed_at_ns_.load(std::memory_order_relaxed); }
   bool valid() const { return listener_.valid(); }
 
  private:
-  /// One transfer's frame state machine, shared by the blocking ingest loop
+  /// One transfer's frame state machine, shared by the blocking pull path
   /// and the reactor's incremental parse path (defined in receiver.cpp).
   struct IngestSession;
   struct ClientState;
@@ -117,6 +122,8 @@ class Receiver {
   bool ingest(net::TcpSocket& socket, std::string_view trace_id = {},
               std::string_view transmitter = {});
   bool pull_once(const net::Endpoint& transmitter);
+  /// Called after each applied transfer: updates fed_at_ns().
+  void note_feed();
 
   void on_client(net::TcpSocket socket);         // loop thread
   void on_client_data(net::Connection& client);  // loop thread
@@ -139,6 +146,8 @@ class Receiver {
   /// the version range the next push must cover.
   std::mutex replica_mu_;
   std::unordered_map<std::uint64_t, DeltaState> replica_states_;
+  /// The newest sys stamp the last applied transfer left in the store.
+  std::uint64_t newest_fed_ns_ = 0;
 
   std::unique_ptr<net::Reactor> own_reactor_;
   net::Reactor* reactor_ = nullptr;  // non-null while started
@@ -149,6 +158,7 @@ class Receiver {
   std::atomic<std::uint64_t> deltas_applied_{0};
   std::atomic<std::uint64_t> malformed_frames_{0};
   std::atomic<std::uint64_t> replicated_version_{0};
+  std::atomic<std::uint64_t> fed_at_ns_{0};
 };
 
 }  // namespace smartsock::transport

@@ -11,6 +11,7 @@
 #include "monitor/system_monitor.h"
 #include "probe/server_probe.h"
 #include "probe/sim_proc_reader.h"
+#include "reference_lang.h"
 #include "sim/testbed.h"
 
 namespace smartsock {
@@ -87,13 +88,14 @@ TEST(RankBy, PreferredStillBeatRank) {
 TEST(RankBy, OutcomeExposesRankValue) {
   auto requirement = lang::Requirement::compile("rank_by = host_memory_free * 2\n");
   ASSERT_TRUE(requirement);
-  auto outcome = requirement->evaluate({{"host_memory_free", 21.0}});
+  auto outcome = reference::explain_by_name(*requirement, {{"host_memory_free", 21.0}});
   ASSERT_TRUE(outcome.rank.has_value());
   EXPECT_DOUBLE_EQ(*outcome.rank, 42.0);
 
   auto plain = lang::Requirement::compile("host_memory_free > 1\n");
   ASSERT_TRUE(plain);
-  EXPECT_FALSE(plain->evaluate({{"host_memory_free", 21.0}}).rank.has_value());
+  EXPECT_FALSE(
+      reference::explain_by_name(*plain, {{"host_memory_free", 21.0}}).rank.has_value());
 }
 
 // --- TCP probe reporting -----------------------------------------------------

@@ -81,7 +81,7 @@ TEST(Failure, ProbeResumesAfterExpiry) {
     EXPECT_EQ(reply.servers.size(), 1u);
   }
 
-  ASSERT_TRUE(cluster.host("dione")->probe->start());
+  ASSERT_TRUE(cluster.host("dione")->probe->start(cluster.loop()));
   util::SteadyClock::instance().sleep_for(150ms);
   ASSERT_TRUE(cluster.refresh_now());
   {

@@ -462,20 +462,40 @@ TEST(TimeSeries, RingDropsOldestBeyondCapacity) {
   EXPECT_DOUBLE_EQ(history.windows[0].last, 9.0);
 }
 
-TEST(TimeSeries, BackgroundThreadSamplesRealClock) {
+std::string fetch_stats(const net::Endpoint& endpoint, const std::string& command);
+
+TEST(TimeSeries, StatsServerSamplesOnItsLoop) {
   obs::MetricsRegistry registry;
   registry.counter("ticks")->inc();
   obs::TimeSeriesConfig config;
   config.interval = std::chrono::milliseconds(10);
   obs::TimeSeriesRecorder recorder(config, registry);
-  ASSERT_TRUE(recorder.start());
-  EXPECT_FALSE(recorder.start());  // already running
+  obs::Histogram* site = obs::MetricsRegistry::instance().histogram(
+      "reactor_callback_us{site=\"stats_history\"}");
+  std::uint64_t site_before = site->count();
+
+  obs::StatsServerConfig stats_config;
+  stats_config.history = &recorder;
+  obs::StatsServer server(stats_config, registry);
+  ASSERT_TRUE(server.valid());
+  ASSERT_TRUE(server.start());
   for (int i = 0; i < 100 && recorder.samples_taken() < 3; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  recorder.stop();
-  EXPECT_GE(recorder.samples_taken(), 3u);
+  std::string history = fetch_stats(server.endpoint(), "history ticks 1\n");
+  server.stop();
+  std::uint64_t taken = recorder.samples_taken();
+  EXPECT_GE(taken, 3u);
   EXPECT_TRUE(recorder.history("ticks", 1s).found);
+  // The periodic samples ran as the server loop's stats_history timer, and
+  // the history verb serves them.
+  EXPECT_GE(site->count() - site_before, 2u);
+  EXPECT_NE(history.find("\"found\": true"), std::string::npos) << history;
+  EXPECT_NE(history.find("\"start_us\""), std::string::npos) << history;
+
+  // Stopping the server stops the sampling.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(recorder.samples_taken(), taken);
 }
 
 // --- health engine -----------------------------------------------------------
@@ -858,6 +878,7 @@ TEST(FlightRecorder, ReplicationPushAndPullShareOneTraceId) {
     ipc::InMemoryStatusStore wizard_store;
     transport::Receiver receiver(transport::ReceiverConfig{}, wizard_store);
     ASSERT_TRUE(receiver.valid());
+    ASSERT_TRUE(receiver.start());
     transport::TransmitterConfig tx_config;
     tx_config.mode = transport::TransferMode::kCentralized;
     tx_config.receiver = receiver.endpoint();
@@ -865,9 +886,13 @@ TEST(FlightRecorder, ReplicationPushAndPullShareOneTraceId) {
 
     obs::SpanStore::instance().clear();
     LogCapture capture;
-    std::thread accepting([&] { EXPECT_TRUE(receiver.accept_once(2s)); });
     EXPECT_TRUE(transmitter.transmit_once());
-    accepting.join();
+    // The ingest span ends when the receiver's loop sees the push close.
+    for (int i = 0; i < 1000 && receiver.snapshots_received() == 0; ++i) {
+      std::this_thread::sleep_for(2ms);
+    }
+    receiver.stop();
+    ASSERT_EQ(receiver.snapshots_received(), 1u);
     ASSERT_EQ(wizard_store.sys_records().size(), 1u);
 
     std::vector<obs::SpanRecord> spans = obs::SpanStore::instance().snapshot();

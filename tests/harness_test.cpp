@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "harness/experiment.h"
+#include "obs/metrics.h"
 
 namespace smartsock::harness {
 namespace {
@@ -27,6 +31,34 @@ TEST(Harness, BootsAndCollectsAllReports) {
   EXPECT_FALSE(cluster.wizard_store().net_records().empty());
   EXPECT_FALSE(cluster.wizard_store().sec_records().empty());
   cluster.stop();
+}
+
+TEST(Harness, PeriodicJobsRunOnTheHarnessLoop) {
+  // Each periodic job is a timer on the harness's loop, so its time shows up
+  // under its own reactor_callback_us site.
+  auto samples = [](const std::string& site) {
+    return obs::MetricsRegistry::instance()
+        .histogram("reactor_callback_us{site=\"" + site + "\"}")
+        ->count();
+  };
+  const std::vector<std::string> sites = {"probe_cycle", "netmon_measure", "secmon_refresh",
+                                          "harness_tick"};
+  std::vector<std::uint64_t> before;
+  for (const std::string& site : sites) before.push_back(samples(site));
+
+  HarnessOptions options = small_options();
+  options.probe_interval = 50ms;
+  options.transfer_interval = 50ms;
+  ClusterHarness cluster(options);
+  ASSERT_TRUE(cluster.start());
+  std::this_thread::sleep_for(300ms);  // a few probe intervals
+  cluster.stop();
+
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    EXPECT_GT(samples(sites[i]), before[i]) << sites[i];
+  }
+  // Every host's probe ran at least its first and one periodic cycle.
+  EXPECT_GE(samples("probe_cycle") - before[0], 2 * options.hosts.size());
 }
 
 TEST(Harness, EndToEndSmartQuery) {

@@ -303,7 +303,7 @@ TEST(CompiledEval, AgreesWithReferenceOnGeneratedPrograms) {
 }
 
 TEST(CompiledEval, NameBindingAgreesWithReference) {
-  // Requirement::evaluate(const AttributeSet&) also resolves names the
+  // The name binding (reference::explain_by_name) also resolves names the
   // predefined tables lack from the set (the thesis's "new parameters").
   const core::MatchInput input = make_records(0xA77, 6);
   for (std::uint64_t seed = 5001; seed <= 5400; ++seed) {
@@ -316,7 +316,8 @@ TEST(CompiledEval, NameBindingAgreesWithReference) {
       attrs["ghost"] = record.load1;
       attrs["host_gpu_free"] = 0.5;
       attrs["t1"] = 7.0;  // shadowed by the temp once assigned
-      expect_same_outcome(requirement->evaluate(attrs), reference::evaluate(source, attrs));
+      expect_same_outcome(reference::explain_by_name(*requirement, attrs),
+                          reference::evaluate(source, attrs));
       if (testing::Test::HasFailure()) return;
     }
   }

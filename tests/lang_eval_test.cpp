@@ -17,7 +17,7 @@ EvalOutcome eval(std::string_view source, const AttributeSet& attrs = {}) {
   auto requirement = Requirement::compile(source, &error);
   EXPECT_TRUE(requirement) << error;
   if (!requirement) return {};
-  EvalOutcome compiled = requirement->evaluate(attrs);
+  EvalOutcome compiled = reference::explain_by_name(*requirement, attrs);
   SCOPED_TRACE(std::string(source));
   reference::expect_same_outcome(compiled, reference::evaluate(source, attrs));
   return compiled;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "lang/requirement.h"
+#include "reference_lang.h"
 #include "util/rng.h"
 
 namespace smartsock::lang {
@@ -41,8 +42,8 @@ TEST(LangFuzz, PrintableSoupNeverCrashes) {
     if (requirement) {
       // Whatever parsed must also evaluate without crashing, with or
       // without attributes.
-      requirement->evaluate({});
-      requirement->evaluate({{"host_cpu_free", 0.5}, {"a", 1.0}, {"b", 2.0}});
+      reference::explain_by_name(*requirement, {});
+      reference::explain_by_name(*requirement, {{"host_cpu_free", 0.5}, {"a", 1.0}, {"b", 2.0}});
     }
   }
 }
@@ -118,7 +119,7 @@ TEST(LangFuzz, GeneratedProgramsAlwaysParse) {
     ASSERT_TRUE(requirement) << "seed " << seed << ": " << error << "\n" << source;
 
     // Evaluation must terminate and classify every statement.
-    auto outcome = requirement->evaluate({{"host_cpu_free", 0.7}});
+    auto outcome = reference::explain_by_name(*requirement, {{"host_cpu_free", 0.7}});
     EXPECT_EQ(outcome.statements.size(), static_cast<std::size_t>(statements));
   }
 }
@@ -149,7 +150,7 @@ TEST(LangFuzz, DeepNestingBounded) {
   for (int i = 0; i < depth; ++i) source += ")";
   auto requirement = Requirement::compile(source);
   ASSERT_TRUE(requirement);
-  auto outcome = requirement->evaluate({});
+  auto outcome = reference::explain_by_name(*requirement, {});
   ASSERT_EQ(outcome.statements.size(), 1u);
   EXPECT_DOUBLE_EQ(outcome.statements[0].value, depth + 1);
 }
@@ -160,7 +161,7 @@ TEST(LangFuzz, LongOperatorChain) {
   for (int i = 0; i < 2000; ++i) source += " + 1";
   auto requirement = Requirement::compile(source);
   ASSERT_TRUE(requirement);
-  auto outcome = requirement->evaluate({});
+  auto outcome = reference::explain_by_name(*requirement, {});
   EXPECT_DOUBLE_EQ(outcome.statements[0].value, 2001.0);
 }
 

@@ -3,6 +3,7 @@
 
 #include "lang/lexer.h"
 #include "lang/requirement.h"
+#include "reference_lang.h"
 
 namespace smartsock::lang {
 namespace {
@@ -212,7 +213,7 @@ TEST(Lexer, LongNumberInRangeStillLexes) {
   EXPECT_DOUBLE_EQ(tokens[0].number, 1e299);
   auto requirement = Requirement::compile("host_cpu_free < 1" + std::string(299, '0') + "\n");
   ASSERT_TRUE(requirement);
-  EXPECT_TRUE(requirement->qualifies({{"host_cpu_free", 0.5}}));
+  EXPECT_TRUE(reference::explain_by_name(*requirement, {{"host_cpu_free", 0.5}}).qualified);
 }
 
 TEST(Lexer, ThesisSampleRequirementLexes) {

@@ -56,15 +56,17 @@ TEST(Requirement, QualifiesAgainstAttributes) {
   auto requirement = Requirement::compile("host_cpu_free > 0.5\nhost_memory_free > 10\n");
   ASSERT_TRUE(requirement);
   EXPECT_TRUE(
-      requirement->qualifies({{"host_cpu_free", 0.9}, {"host_memory_free", 100.0}}));
+      reference::explain_by_name(*requirement, {{"host_cpu_free", 0.9}, {"host_memory_free", 100.0}})
+          .qualified);
   EXPECT_FALSE(
-      requirement->qualifies({{"host_cpu_free", 0.2}, {"host_memory_free", 100.0}}));
+      reference::explain_by_name(*requirement, {{"host_cpu_free", 0.2}, {"host_memory_free", 100.0}})
+          .qualified);
 }
 
 TEST(Requirement, EmptyRequirementQualifiesEverything) {
   auto requirement = Requirement::compile("");
   ASSERT_TRUE(requirement);
-  EXPECT_TRUE(requirement->qualifies({}));
+  EXPECT_TRUE(reference::explain_by_name(*requirement, {}).qualified);
 }
 
 TEST(Requirement, LoadFileMissing) {

@@ -1,9 +1,11 @@
 // Probe tests: procfs parsers, wire format, rate computation, UDP reporting.
 #include <gtest/gtest.h>
 #include <bit>
+#include <thread>
 
 #include "core/server_matcher.h"
 #include "monitor/system_monitor.h"
+#include "net/reactor.h"
 #include "net/udp_socket.h"
 #include "probe/proc_reader.h"
 #include "probe/server_probe.h"
@@ -289,7 +291,7 @@ TEST(ServerProbe, ReportsOverUdp) {
   EXPECT_DOUBLE_EQ(report->bogomips, spec->bogomips);
 }
 
-TEST(ServerProbe, BackgroundLoopSendsRepeatedly) {
+TEST(ServerProbe, LoopTimerSendsRepeatedly) {
   auto monitor = net::UdpSocket::bind(net::Endpoint::loopback(0));
   ASSERT_TRUE(monitor);
 
@@ -298,9 +300,12 @@ TEST(ServerProbe, BackgroundLoopSendsRepeatedly) {
   config.host = "phoebe";
   config.monitor = monitor->local_endpoint();
   config.interval = 30ms;
+  net::Reactor loop;
+  ASSERT_TRUE(loop.start());
   ServerProbe probe(config, std::make_unique<SimProcSource>(&host.procfs()));
 
-  ASSERT_TRUE(probe.start());
+  ASSERT_TRUE(probe.start(loop));
+  EXPECT_FALSE(probe.start(loop));  // already started
   int received = 0;
   for (int i = 0; i < 5; ++i) {
     if (monitor->receive(500ms)) ++received;
@@ -308,6 +313,13 @@ TEST(ServerProbe, BackgroundLoopSendsRepeatedly) {
   probe.stop();
   EXPECT_GE(received, 3);
   EXPECT_GE(probe.reports_sent(), 3u);
+
+  // No cycle runs once stop() has returned, and a stopped probe stays
+  // silent when asked to report now.
+  std::uint64_t sent = probe.reports_sent();
+  EXPECT_FALSE(probe.report_now());
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(probe.reports_sent(), sent);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "lang/parser.h"
 #include "lang/requirement.h"
 #include "probe/status_report.h"
+#include "reference_lang.h"
 #include "sim/testbed.h"
 #include "sim/virtual_clock.h"
 
@@ -136,7 +137,7 @@ TEST_P(EvalSweep, MatchesReference) {
   auto requirement = lang::Requirement::compile(source);
   ASSERT_TRUE(requirement);
   lang::AttributeSet attrs{{"host_cpu_free", cpu_free}, {"host_memory_free", 64.0}};
-  EXPECT_EQ(requirement->qualifies(attrs), expected) << source << " cpu=" << cpu_free;
+  EXPECT_EQ(reference::explain_by_name(*requirement, attrs).qualified, expected) << source << " cpu=" << cpu_free;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -243,6 +243,19 @@ lang::EvalOutcome evaluate(std::string_view source, const lang::AttributeSet& at
   return evaluator.evaluate(program, attrs);
 }
 
+lang::EvalOutcome explain_by_name(const lang::Requirement& requirement,
+                                  const lang::AttributeSet& attrs) {
+  lang::Binding binding;
+  binding.extensions = &attrs;
+  for (std::size_t i = 0; i < lang::kServerSlotCount; ++i) {
+    auto slot = static_cast<lang::ServerSlot>(i);
+    if (!(requirement.slots_read() & lang::slot_bit(slot))) continue;
+    auto it = attrs.find(lang::server_slot_name(slot));
+    if (it != attrs.end()) binding.set(slot, it->second);
+  }
+  return requirement.explain(binding);
+}
+
 lang::AttributeSet sys_record_attributes(const ipc::SysRecord& r) {
   lang::AttributeSet attrs;
   attrs["host_system_load1"] = r.load1;

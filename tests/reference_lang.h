@@ -15,6 +15,7 @@
 #include "core/server_matcher.h"
 #include "lang/ast.h"
 #include "lang/evaluator.h"
+#include "lang/requirement.h"
 #include "lang/symtab.h"
 
 namespace smartsock::reference {
@@ -82,6 +83,12 @@ class Evaluator {
 
 /// Parses `source` (which must parse) and evaluates it with the tree-walker.
 lang::EvalOutcome evaluate(std::string_view source, const lang::AttributeSet& attrs);
+
+/// Evaluates the compiled `requirement` against one server's attributes,
+/// bound by name: each server slot it reads from its entry in `attrs`, and
+/// every other name as an extension (the thesis's new parameters, Ch. 7).
+lang::EvalOutcome explain_by_name(const lang::Requirement& requirement,
+                                  const lang::AttributeSet& attrs);
 
 /// Attribute set for one sysdb record (server-side variables only).
 lang::AttributeSet sys_record_attributes(const ipc::SysRecord& record);

@@ -451,36 +451,48 @@ TEST(StatsServerResilience, SlowDripClientCannotWedgeServeLoop) {
   config.command_timeout = 80ms;
   obs::StatsServer server(config);
   ASSERT_TRUE(server.valid());
+  ASSERT_TRUE(server.start());
 
   // A client that trickles bytes without ever finishing the command line.
   auto dripper = net::TcpSocket::connect(server.endpoint(), 1s);
   ASSERT_TRUE(dripper);
   std::atomic<bool> stop{false};
+  std::atomic<bool> drip_refused{false};
   std::thread drip([&] {
     while (!stop.load() && dripper->valid()) {
-      if (!dripper->send_all("j").ok()) break;
+      if (!dripper->send_all("j").ok()) {
+        drip_refused.store(true);
+        break;
+      }
       std::this_thread::sleep_for(10ms);
     }
   });
 
+  // Bounded despite the drip: the command deadline answers the dripper and
+  // closes its connection, so its next bytes are refused.
   auto started = std::chrono::steady_clock::now();
-  EXPECT_TRUE(server.serve_once(1s));  // bounded despite the drip
+  while (std::chrono::steady_clock::now() - started < 2s &&
+         (server.requests_served() < 1 || !drip_refused.load())) {
+    std::this_thread::sleep_for(5ms);
+  }
   auto elapsed = std::chrono::steady_clock::now() - started;
+  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_TRUE(drip_refused.load());
   EXPECT_LT(elapsed, 1s);
 
   stop.store(true);
   drip.join();
 
   // And the next (well-behaved) client is served promptly.
-  std::thread fetch([&] { EXPECT_TRUE(server.serve_once(2s)); });
   auto client = net::TcpSocket::connect(server.endpoint(), 1s);
   ASSERT_TRUE(client);
   client->set_receive_timeout(2s);
   ASSERT_TRUE(client->send_all("json\n").ok());
   std::string body, chunk;
   while (client->receive_some(chunk, 64 * 1024).ok()) body += chunk;
-  fetch.join();
+  server.stop();
   EXPECT_NE(body.find("counters"), std::string::npos);
+  EXPECT_EQ(server.requests_served(), 2u);
 }
 
 // --- wizard degradation ---------------------------------------------------------
@@ -516,6 +528,57 @@ TEST(WizardDegradation, StaleFeedFlagsRepliesAndRecovers) {
   reply = wizard.handle(request);
   ASSERT_TRUE(reply.ok);
   EXPECT_FALSE(reply.stale);
+}
+
+TEST(WizardDegradation, ReceiverFedFeedAgesOnTheWizardsClock) {
+  // The monitor runs on another host: its steady clock, which stamps every
+  // record and ships byte for byte, reads 1 h ahead of the wizard's, then
+  // 1 h behind it. Feed age must not depend on that gap.
+  constexpr auto kBound = 200ms;
+  constexpr auto kPushInterval = 50ms;
+  for (std::int64_t offset_s : {3600, -3600}) {
+    SCOPED_TRACE(offset_s);
+    ipc::InMemoryStatusStore monitor_store;
+    ipc::InMemoryStatusStore wizard_store;
+    transport::Receiver receiver(transport::ReceiverConfig{}, wizard_store);
+    ASSERT_TRUE(receiver.start());
+    transport::TransmitterConfig tx_config;
+    tx_config.receiver = receiver.endpoint();
+    transport::Transmitter transmitter(tx_config, monitor_store);
+    core::WizardConfig wizard_config;
+    wizard_config.staleness_bound = kBound;
+    core::Wizard wizard(wizard_config, wizard_store, &receiver);
+
+    // One report landing at the monitor, then one push of it.
+    auto push = [&] {
+      ipc::SysRecord record;
+      ipc::copy_fixed(record.host, ipc::kHostNameLen, "remote");
+      ipc::copy_fixed(record.address, ipc::kAddressLen, "9.9.9.9:4");
+      record.updated_ns = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(ipc::steady_now_ns()) + offset_s * 1'000'000'000);
+      monitor_store.put_sys(record);
+      std::uint64_t applied = receiver.snapshots_received();
+      if (!transmitter.transmit_once()) return false;
+      for (int i = 0; i < 1000 && receiver.snapshots_received() == applied; ++i) {
+        std::this_thread::sleep_for(1ms);
+      }
+      return receiver.snapshots_received() > applied;
+    };
+
+    // Fresh while pushes arrive, for well over the bound.
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(push());
+      EXPECT_FALSE(wizard.degraded()) << "push " << i;
+      std::this_thread::sleep_for(kPushInterval);
+    }
+    // Stale within the bound plus one push interval after pushes stop.
+    std::this_thread::sleep_for(kBound);
+    EXPECT_TRUE(wizard.degraded());
+    // Fresh again on the next push.
+    ASSERT_TRUE(push());
+    EXPECT_FALSE(wizard.degraded());
+    receiver.stop();
+  }
 }
 
 TEST(WizardDegradation, DisabledBoundNeverDegrades) {

@@ -6,6 +6,7 @@
 
 #include "ipc/in_memory_store.h"
 #include "net/fault.h"
+#include "obs/metrics.h"
 #include "transport/receiver.h"
 #include "transport/record_codec.h"
 #include "transport/transmitter.h"
@@ -22,6 +23,16 @@ ipc::SysRecord make_sys(const std::string& host, double load) {
   record.load1 = load;
   record.updated_ns = 1;
   return record;
+}
+
+/// Polls `done` until it holds or `timeout` passes; returns its last value.
+template <typename Pred>
+bool wait_until(Pred done, std::chrono::milliseconds timeout = 2s) {
+  auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(2ms);
+  }
+  return done();
 }
 
 // --- codec ---------------------------------------------------------------------
@@ -139,19 +150,21 @@ TEST(Transport, ReceiverAbortsOnTruncatedFrameMidStream) {
   ipc::InMemoryStatusStore store;
   Receiver receiver(ReceiverConfig{}, store);
   ASSERT_TRUE(receiver.valid());
+  ASSERT_TRUE(receiver.start());
 
   std::vector<ipc::SysRecord> records = {make_sys("whole", 0.3)};
   std::string good = encode_frame(FrameType::kSysDb, encode_records(records));
   std::string bad = encode_frame(FrameType::kNetDb, std::string(64, 'y'));
   bad.resize(bad.size() - 32);  // promised 64 payload bytes, delivers 32
 
-  std::thread sender([&] {
+  {
     auto conn = net::TcpSocket::connect(receiver.endpoint(), 1s);
     ASSERT_TRUE(conn);
     conn->send_all(good + bad);
-  });
-  EXPECT_FALSE(receiver.accept_once(2s));  // damaged stream != snapshot
-  sender.join();
+  }
+  // A damaged stream != snapshot.
+  EXPECT_TRUE(wait_until([&] { return receiver.malformed_frames() == 1; }));
+  receiver.stop();
   EXPECT_EQ(receiver.malformed_frames(), 1u);
   EXPECT_EQ(receiver.snapshots_received(), 0u);
 }
@@ -160,17 +173,19 @@ TEST(Transport, ReceiverAbortsOnUndecodableRecords) {
   ipc::InMemoryStatusStore store;
   Receiver receiver(ReceiverConfig{}, store);
   ASSERT_TRUE(receiver.valid());
+  ASSERT_TRUE(receiver.start());
 
   // Misaligned sysdb payload: parses as a frame, fails record decoding.
   std::string junk = encode_frame(FrameType::kSysDb, std::string(13, 'z'));
-  std::thread sender([&] {
+  {
     auto conn = net::TcpSocket::connect(receiver.endpoint(), 1s);
     ASSERT_TRUE(conn);
     conn->send_all(junk);
-  });
-  EXPECT_FALSE(receiver.accept_once(2s));
-  sender.join();
+  }
+  EXPECT_TRUE(wait_until([&] { return receiver.malformed_frames() == 1; }));
+  receiver.stop();
   EXPECT_EQ(receiver.malformed_frames(), 1u);
+  EXPECT_EQ(receiver.snapshots_received(), 0u);
   EXPECT_TRUE(store.sys_records().empty());
 }
 
@@ -181,6 +196,7 @@ TEST(Transport, PartialWriteFaultAbortsPushAndReceiverCountsIt) {
 
   Receiver receiver(ReceiverConfig{}, wizard_store);
   ASSERT_TRUE(receiver.valid());
+  ASSERT_TRUE(receiver.start());
   TransmitterConfig tx_config;
   tx_config.receiver = receiver.endpoint();
   Transmitter transmitter(tx_config, monitor_store);
@@ -190,18 +206,21 @@ TEST(Transport, PartialWriteFaultAbortsPushAndReceiverCountsIt) {
   faults.tcp_truncate_send = 1.0;  // every send writes a prefix, then closes
   net::FaultInjector injector(faults);
 
-  bool accepted = false;
-  std::thread accepting([&] { accepted = receiver.accept_once(2s); });
   bool pushed;
   {
     net::ScopedGlobalFaults scoped(injector);
     pushed = transmitter.transmit_once();
   }
-  accepting.join();
   EXPECT_FALSE(pushed);
-  EXPECT_FALSE(accepted);
   EXPECT_GE(injector.stats().tcp_truncated_send, 1u);
+  // Every attempt the transmitter made was cut short: the receiver counts
+  // each as a damaged stream and applies nothing from any of them.
+  std::uint64_t truncated = injector.stats().tcp_truncated_send;
+  EXPECT_TRUE(wait_until([&] { return receiver.malformed_frames() == truncated; }));
+  receiver.stop();
+  EXPECT_EQ(receiver.malformed_frames(), truncated);
   EXPECT_EQ(receiver.snapshots_received(), 0u);
+  EXPECT_TRUE(wizard_store.sys_records().empty());
 }
 
 TEST(Transport, ConnectionResetFaultFailsPushCleanly) {
@@ -211,24 +230,32 @@ TEST(Transport, ConnectionResetFaultFailsPushCleanly) {
 
   Receiver receiver(ReceiverConfig{}, wizard_store);
   ASSERT_TRUE(receiver.valid());
+  ASSERT_TRUE(receiver.start());
   TransmitterConfig tx_config;
   tx_config.receiver = receiver.endpoint();
   Transmitter transmitter(tx_config, monitor_store);
+  obs::Counter* closes = obs::MetricsRegistry::instance().counter("reactor_closes_total");
+  std::uint64_t closes_before = closes->value();
 
   net::FaultConfig faults;
   faults.seed = 6;
   faults.tcp_reset_send = 1.0;
   net::FaultInjector injector(faults);
 
-  std::thread accepting([&] { receiver.accept_once(2s); });
   bool pushed;
   {
     net::ScopedGlobalFaults scoped(injector);
     pushed = transmitter.transmit_once();
   }
-  accepting.join();
   EXPECT_FALSE(pushed);
   EXPECT_GE(injector.stats().tcp_reset_send, 1u);
+  // Each attempt died before its first byte: once the receiver has closed
+  // every one of them, nothing was applied and no frame stream was damaged.
+  std::uint64_t resets = injector.stats().tcp_reset_send;
+  EXPECT_TRUE(wait_until([&] { return closes->value() - closes_before >= resets; }));
+  receiver.stop();
+  EXPECT_EQ(receiver.malformed_frames(), 0u);
+  EXPECT_EQ(receiver.snapshots_received(), 0u);
   EXPECT_TRUE(wizard_store.sys_records().empty());
 }
 
@@ -250,15 +277,16 @@ TEST(Transport, CentralizedPushMirrorsDatabases) {
 
   Receiver receiver(ReceiverConfig{}, wizard_store);
   ASSERT_TRUE(receiver.valid());
+  ASSERT_TRUE(receiver.start());
 
   TransmitterConfig tx_config;
   tx_config.mode = TransferMode::kCentralized;
   tx_config.receiver = receiver.endpoint();
   Transmitter transmitter(tx_config, monitor_store);
 
-  std::thread accepting([&] { EXPECT_TRUE(receiver.accept_once(2s)); });
   EXPECT_TRUE(transmitter.transmit_once());
-  accepting.join();
+  EXPECT_TRUE(wait_until([&] { return receiver.snapshots_received() == 1; }));
+  receiver.stop();
 
   ASSERT_EQ(wizard_store.sys_records().size(), 1u);
   EXPECT_EQ(wizard_store.sys_records()[0].host_str(), "h1");
@@ -274,14 +302,15 @@ TEST(Transport, CentralizedReplaceRemovesGoneServers) {
   wizard_store.put_sys(make_sys("stale", 0.1));  // pre-existing mirror state
 
   Receiver receiver(ReceiverConfig{}, wizard_store);
+  ASSERT_TRUE(receiver.start());
   TransmitterConfig tx_config;
   tx_config.receiver = receiver.endpoint();
   Transmitter transmitter(tx_config, monitor_store);
 
   monitor_store.put_sys(make_sys("only", 0.7));
-  std::thread accepting([&] { EXPECT_TRUE(receiver.accept_once(2s)); });
   EXPECT_TRUE(transmitter.transmit_once());
-  accepting.join();
+  EXPECT_TRUE(wait_until([&] { return receiver.snapshots_received() == 1; }));
+  receiver.stop();
 
   auto records = wizard_store.sys_records();
   ASSERT_EQ(records.size(), 1u);

@@ -20,6 +20,7 @@
 #include "monitor/network_monitor.h"
 #include "monitor/security_monitor.h"
 #include "monitor/system_monitor.h"
+#include "net/reactor.h"
 #include "obs/blackbox.h"
 #include "obs/stats_server.h"
 #include "transport/transmitter.h"
@@ -100,6 +101,17 @@ int main(int argc, char** argv) {
               system_monitor.ingest_shards(),
               system_monitor.ingest_shards() == 1 ? "" : "s");
 
+  // One loop runs the security monitor and, with --stats-port, the stats
+  // server. The network monitor gets a loop of its own: a measurement
+  // against an unreachable echo target blocks for seconds. Both outlive
+  // everything started on them.
+  net::Reactor loop;
+  net::Reactor netmon_loop;
+  if (!loop.start() || !netmon_loop.start()) {
+    std::fprintf(stderr, "cannot start the monitor loops\n");
+    return 1;
+  }
+
   // --- security monitor -------------------------------------------------------
   monitor::SecurityMonitorConfig sec_config;
   sec_config.interval = util::from_seconds(interval_s * 2);
@@ -108,7 +120,7 @@ int main(int argc, char** argv) {
       std::make_unique<monitor::FileSecuritySource>(
           args.get_or("security-log", "/etc/smartsock/security.log")),
       *store);
-  security_monitor.start();
+  security_monitor.start(loop);
 
   // --- network monitor -------------------------------------------------------
   monitor::NetworkMonitorConfig net_config;
@@ -132,7 +144,7 @@ int main(int argc, char** argv) {
     std::printf("network target: %s via %s\n", group.c_str(),
                 endpoint->to_string().c_str());
   }
-  network_monitor.start();
+  network_monitor.start(netmon_loop);
 
   // --- transmitter --------------------------------------------------------------
   transport::TransmitterConfig tx_config;
@@ -191,10 +203,10 @@ int main(int argc, char** argv) {
     stats_config.dump_interval =
         util::from_seconds(args.get_double_or("stats-dump-interval", 10.0));
     history = std::make_unique<obs::TimeSeriesRecorder>();
-    history->start();
     health = std::make_unique<obs::HealthEngine>();
     stats_config.history = history.get();
     stats_config.health = health.get();
+    stats_config.reactor = &loop;
     stats = std::make_unique<obs::StatsServer>(stats_config);
     if (!stats->valid() || !stats->start()) {
       std::fprintf(stderr, "cannot start stats endpoint on %s\n",
@@ -210,7 +222,6 @@ int main(int argc, char** argv) {
     util::SteadyClock::instance().sleep_for(std::chrono::milliseconds(200));
   }
   if (stats) stats->stop();
-  if (history) history->stop();
   transmitter.stop();
   network_monitor.stop();
   security_monitor.stop();

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "net/endpoint.h"
+#include "net/reactor.h"
 #include "obs/blackbox.h"
 #include "obs/stats_server.h"
 #include "probe/server_probe.h"
@@ -49,12 +50,16 @@ int main(int argc, char** argv) {
   config.monitor = *monitor;
   config.interval = util::from_seconds(args.get_double_or("interval", 2.0));
 
-  probe::ServerProbe probe(
-      config, std::make_unique<probe::FileProcSource>(args.get_or("proc-root", "/proc")));
-  if (!probe.start()) {
-    std::fprintf(stderr, "probe failed to start\n");
+  // One loop runs the reporting timer and, with --stats-port, the stats
+  // server. Declared first, so it outlives everything started on it.
+  net::Reactor loop;
+  if (!loop.start()) {
+    std::fprintf(stderr, "cannot start the probe loop\n");
     return 1;
   }
+  probe::ServerProbe probe(
+      config, std::make_unique<probe::FileProcSource>(args.get_or("proc-root", "/proc")));
+  probe.start(loop);
   std::printf("probe '%s' reporting to %s every %.1fs (group %s)\n", config.host.c_str(),
               monitor->to_string().c_str(), util::to_seconds(config.interval),
               config.group.c_str());
@@ -73,10 +78,10 @@ int main(int argc, char** argv) {
     stats_config.dump_interval =
         util::from_seconds(args.get_double_or("stats-dump-interval", 10.0));
     history = std::make_unique<obs::TimeSeriesRecorder>();
-    history->start();
     health = std::make_unique<obs::HealthEngine>();
     stats_config.history = history.get();
     stats_config.health = health.get();
+    stats_config.reactor = &loop;
     stats = std::make_unique<obs::StatsServer>(stats_config);
     if (!stats->valid() || !stats->start()) {
       std::fprintf(stderr, "cannot start stats endpoint on %s\n",
@@ -92,7 +97,6 @@ int main(int argc, char** argv) {
     util::SteadyClock::instance().sleep_for(std::chrono::milliseconds(200));
   }
   if (stats) stats->stop();
-  if (history) history->stop();
   probe.stop();
   std::printf("probe stopped after %llu reports\n",
               static_cast<unsigned long long>(probe.reports_sent()));

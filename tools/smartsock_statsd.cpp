@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
   obs::HealthEngine health(merged);
   aggregator.install_health_rules(health);
   obs::TimeSeriesRecorder history({}, merged);
-  history.start();
 
   obs::StatsServerConfig stats_config;
   stats_config.bind = *listen;
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
 
   aggregator.stop();
   server.stop();
-  history.stop();
   reactor.stop();  // before ~FleetAggregator: scrape callbacks capture it
   std::printf("statsd stopped after %llu admin requests\n",
               static_cast<unsigned long long>(server.requests_served()));

@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
     // Flight recorder (ISSUE 4): 1 s metric history plus SLO verdicts behind
     // the same endpoint (`history <metric>` / `health` commands).
     history = std::make_unique<obs::TimeSeriesRecorder>();
-    history->start();
     health = std::make_unique<obs::HealthEngine>();
     stats_config.history = history.get();
     stats_config.health = health.get();
@@ -160,7 +159,6 @@ int main(int argc, char** argv) {
     util::SteadyClock::instance().sleep_for(std::chrono::milliseconds(200));
   }
   if (stats) stats->stop();
-  if (history) history->stop();
   wizard.stop();
   receiver.stop();
   std::printf("wizard stopped after %llu requests\n",

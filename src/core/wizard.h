@@ -67,9 +67,10 @@ struct WizardConfig {
   /// Graceful degradation: when the feed is older than this bound, the
   /// wizard keeps answering from the stale databases but marks replies with
   /// the `stale` wire flag and raises the `wizard_degraded` gauge. With a
-  /// receiver the feed's age is the time since a transfer last raised the
-  /// newest sys stamp (Receiver::fed_at_ns); without one it is the newest
-  /// sys record's age. Zero (the default) disables the check.
+  /// receiver the feed's age is the time since a transfer last carried a
+  /// sys stamp newer than its monitor's previous one (Receiver::fed_at_ns);
+  /// without one it is the newest sys record's age. Zero (the default)
+  /// disables the check.
   util::Duration staleness_bound{0};
 
   /// Span ring request/handle/match spans record into (ISSUE 9): lets the

@@ -51,6 +51,12 @@ bool NetworkMonitor::start(net::Reactor& loop) {
 
 void NetworkMonitor::stop() { cycle_.stop(); }
 
+net::ReactorConfig NetworkMonitor::loop_config() {
+  net::ReactorConfig config;
+  config.watchdog_stall_threshold = util::Duration::zero();
+  return config;
+}
+
 MeasureFn measure_sim_path(sim::NetworkPath& path) {
   return [&path]() -> std::optional<bwest::BwEstimate> {
     bwest::SimProber prober(path);

@@ -54,13 +54,18 @@ class NetworkMonitor {
   static util::Duration recommended_interval(std::size_t groups,
                                              util::Duration per_path = std::chrono::seconds(2));
 
-  /// Measures at once, then every config.interval as the `netmon_measure`
-  /// timer on `loop`. A measurement blocks the loop for as long as its
-  /// targets take (an unreachable UDP echo: up to 16 probes x 250 ms), so
-  /// daemons give this monitor a loop of its own. stop() cancels the timer;
-  /// stop before `loop` is destroyed.
+  /// Measures at once, then config.interval after each measurement as the
+  /// `netmon_measure` timer on `loop`. A measurement blocks the loop for as
+  /// long as its targets take (an unreachable UDP echo: up to 16 probes x
+  /// 250 ms), so daemons give this monitor a loop of its own, built from
+  /// loop_config(). stop() cancels the timer; stop before `loop` is
+  /// destroyed.
   bool start(net::Reactor& loop);
   void stop();
+
+  /// Config for a loop of its own: blocking there is the job, so the stall
+  /// watchdog, whose verdict is process-wide, stays off.
+  static net::ReactorConfig loop_config();
 
   std::uint64_t measurements() const { return measurements_.load(std::memory_order_relaxed); }
 

@@ -910,10 +910,18 @@ bool PeriodicJob::start(Reactor& loop, util::Duration interval, std::function<vo
                         std::string label) {
   if (loop_ != nullptr) return false;
   loop_ = &loop;
-  // Both steps on the loop thread, so the first run cannot fire before
-  // timer_ holds its id.
+  // Fixed delay: each run is re-armed one interval after it returned, so a
+  // run that overruns its interval delays the next instead of firing it
+  // late at once. Both steps on the loop thread, so the first run cannot
+  // fire before timer_ holds its id.
   loop.run_on_loop([&] {
-    timer_ = loop.add_periodic(interval, std::move(fn), std::move(label));
+    timer_ = loop.add_periodic(
+        interval,
+        [this, &loop, interval, fn = std::move(fn)] {
+          fn();
+          loop.rearm_timer(timer_, interval);
+        },
+        std::move(label));
     loop.rearm_timer(timer_, util::Duration::zero());
   });
   return true;

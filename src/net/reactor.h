@@ -396,9 +396,9 @@ class Reactor {
   bool watchdog_stop_ = false;
 };
 
-/// Periodic work on a loop: `fn` runs once at start(), then every `interval`
-/// until stop(), as one timer labelled `label`. Start and stop from one
-/// controlling thread; stop before the loop is destroyed.
+/// Periodic work on a loop: `fn` runs once at start(), then `interval` after
+/// each run returns until stop(), as one timer labelled `label`. Start and
+/// stop from one controlling thread; stop before the loop is destroyed.
 class PeriodicJob {
  public:
   PeriodicJob() = default;

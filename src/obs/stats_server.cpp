@@ -324,11 +324,11 @@ bool StatsServer::start() {
                                          "stats_dump");
   }
   if (TimeSeriesRecorder* history = config_.history) {
-    history->sample_once();
-    history_timer_ = reactor_->add_periodic(
-        history->interval(), [history] { history->sample_once(); }, "stats_history");
+    history_.start(*reactor_, history->interval(), [history] { history->sample_once(); },
+                   "stats_history");
   }
   if (own_reactor_ && !own_reactor_->start()) {
+    history_.stop();
     own_reactor_.reset();
     reactor_ = nullptr;
     return false;
@@ -343,13 +343,12 @@ void StatsServer::stop() {
   reactor->run_on_loop([this] {
     if (listener_id_ != 0) reactor_->remove_listener(listener_id_);
     if (dump_timer_ != 0) reactor_->cancel_timer(dump_timer_);
-    if (history_timer_ != 0) reactor_->cancel_timer(history_timer_);
     std::vector<net::Connection*> open(clients_.begin(), clients_.end());
     for (net::Connection* client : open) client->close_now();
   });
+  history_.stop();
   listener_id_ = 0;
   dump_timer_ = 0;
-  history_timer_ = 0;
   own_reactor_.reset();
   reactor_ = nullptr;
 }

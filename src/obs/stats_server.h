@@ -124,7 +124,7 @@ class StatsServer {
   net::Reactor* reactor_ = nullptr;  // non-null while started
   net::ListenerId listener_id_ = 0;
   net::TimerId dump_timer_ = 0;
-  net::TimerId history_timer_ = 0;
+  net::PeriodicJob history_;  // samples config_.history
   std::unordered_set<net::Connection*> clients_;  // loop-thread-only
 
   std::atomic<std::uint64_t> requests_served_{0};

@@ -1,5 +1,6 @@
 #include "transport/receiver.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "obs/metrics.h"
@@ -51,6 +52,11 @@ struct Receiver::IngestSession {
   bool saw_delta_frames = false;
   bool committed = false;
   std::uint64_t source_id = 0;
+  // Feed age: the newest sys stamp this transfer applied, and the key of
+  // the monitor whose clock stamped it (the offer's source_id; a pull's
+  // transmitter endpoint; 0 for an un-offered push).
+  std::uint64_t newest_sys_ns = 0;
+  std::uint64_t feed_source = 0;
   // A damaged stream — truncated frame, unknown type, oversized or
   // undecodable payload — aborts the connection instead of masquerading as
   // end-of-snapshot (the pre-ISSUE-3 behaviour silently dropped the rest of
@@ -84,6 +90,7 @@ struct Receiver::IngestSession {
       case FrameType::kSysDb:
         if (auto records = decode_records<ipc::SysRecord>(frame.payload)) {
           owner->store_->replace_sys(*records);
+          for (const ipc::SysRecord& r : *records) note_sys_stamp(r);
           applied = true;
           saw_full_db = true;
         } else {
@@ -116,6 +123,7 @@ struct Receiver::IngestSession {
         }
         saw_offer = true;
         source_id = offer->source_id;
+        feed_source = source_id;
         DeltaState acked{};
         {
           std::lock_guard<std::mutex> lock(owner->replica_mu_);
@@ -155,6 +163,7 @@ struct Receiver::IngestSession {
         saw_delta_frames = true;
         if (!apply_upserts<ipc::SysRecord>(frame.payload, [this](const ipc::SysRecord& r) {
               owner->store_->put_sys(r);
+              note_sys_stamp(r);
             })) {
           damage = "undecodable sys delta";
         }
@@ -208,6 +217,10 @@ struct Receiver::IngestSession {
     return damage == nullptr;
   }
 
+  void note_sys_stamp(const ipc::SysRecord& record) {
+    newest_sys_ns = std::max(newest_sys_ns, record.updated_ns);
+  }
+
   /// Seals the transfer: span tags, counters, warn log on damage. Safe to
   /// call more than once; only the first call counts. Returns whether the
   /// transfer applied anything (false for damaged streams).
@@ -235,7 +248,7 @@ struct Receiver::IngestSession {
       owner->deltas_applied_counter_->inc();
     }
     if (applied) {
-      owner->note_feed();
+      if (newest_sys_ns != 0) owner->note_feed(feed_source, newest_sys_ns);
       // Release: a caller that sees the count also sees fed_at_ns().
       owner->snapshots_received_.fetch_add(1, std::memory_order_release);
     }
@@ -243,13 +256,14 @@ struct Receiver::IngestSession {
   }
 };
 
-void Receiver::note_feed() {
-  std::uint64_t newest = store_->newest_sys_update_ns();
+void Receiver::note_feed(std::uint64_t source, std::uint64_t newest_sys_ns) {
   std::lock_guard<std::mutex> lock(replica_mu_);
-  if (newest > newest_fed_ns_) {
+  // Stamps from one source share one clock, so only they compare.
+  std::uint64_t& previous = feed_stamps_[source];
+  if (newest_sys_ns > previous) {
     fed_at_ns_.store(ipc::steady_now_ns(), std::memory_order_relaxed);
   }
-  newest_fed_ns_ = newest;
+  previous = newest_sys_ns;
 }
 
 Receiver::Receiver(ReceiverConfig config, ipc::StatusStore& store)
@@ -275,6 +289,7 @@ bool Receiver::ingest(net::TcpSocket& socket, std::string_view trace_id,
   IngestSession session(
       this, trace_id, [&socket](std::string bytes) { return socket.send_all(bytes).ok(); },
       socket.peer_endpoint().to_string());
+  session.feed_source = std::hash<std::string_view>{}(transmitter);
   if (!transmitter.empty()) session.span.tag("transmitter", transmitter);
   // One connection carries up to three database frames; a clean EOF on a
   // frame boundary ends it.

@@ -22,9 +22,9 @@
 //
 // Feed age: record stamps are the monitor's steady clock, shipped byte for
 // byte, so on another host they say nothing about how old the feed is here.
-// The receiver notes on its own clock when a transfer last raised the
-// newest sys stamp (fed_at_ns()); a wizard built with its receiver measures
-// staleness from that note.
+// The receiver notes on its own clock when a transfer last carried a sys
+// stamp newer than the previous one from the same monitor (fed_at_ns()); a
+// wizard built with its receiver measures staleness from that note.
 #pragma once
 
 #include <atomic>
@@ -105,8 +105,9 @@ class Receiver {
   std::uint64_t malformed_frames() const {
     return malformed_frames_.load(std::memory_order_relaxed);
   }
-  /// ipc::steady_now_ns() on this host when an applied transfer last raised
-  /// the store's newest sys stamp; zero until one has.
+  /// ipc::steady_now_ns() on this host when an applied transfer last carried
+  /// a sys stamp newer than its source's previous transfer did; zero until
+  /// one has.
   std::uint64_t fed_at_ns() const { return fed_at_ns_.load(std::memory_order_relaxed); }
   bool valid() const { return listener_.valid(); }
 
@@ -122,8 +123,9 @@ class Receiver {
   bool ingest(net::TcpSocket& socket, std::string_view trace_id = {},
               std::string_view transmitter = {});
   bool pull_once(const net::Endpoint& transmitter);
-  /// Called after each applied transfer: updates fed_at_ns().
-  void note_feed();
+  /// Called after each applied transfer that carried sys records: updates
+  /// fed_at_ns() when `newest_sys_ns` beats `source`'s previous one.
+  void note_feed(std::uint64_t source, std::uint64_t newest_sys_ns);
 
   void on_client(net::TcpSocket socket);         // loop thread
   void on_client_data(net::Connection& client);  // loop thread
@@ -146,8 +148,8 @@ class Receiver {
   /// the version range the next push must cover.
   std::mutex replica_mu_;
   std::unordered_map<std::uint64_t, DeltaState> replica_states_;
-  /// The newest sys stamp the last applied transfer left in the store.
-  std::uint64_t newest_fed_ns_ = 0;
+  /// Newest sys stamp of each source's last transfer that carried any.
+  std::unordered_map<std::uint64_t, std::uint64_t> feed_stamps_;
 
   std::unique_ptr<net::Reactor> own_reactor_;
   net::Reactor* reactor_ = nullptr;  // non-null while started

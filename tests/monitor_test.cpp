@@ -2,6 +2,7 @@
 // security monitor sources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <thread>
@@ -10,6 +11,8 @@
 #include "monitor/network_monitor.h"
 #include "monitor/security_monitor.h"
 #include "monitor/system_monitor.h"
+#include "net/reactor.h"
+#include "obs/health.h"
 #include "sim/testbed.h"
 
 namespace smartsock::monitor {
@@ -168,6 +171,38 @@ TEST(NetworkMonitorTest, RecommendedIntervalScalesWithGroups) {
   auto large = NetworkMonitor::recommended_interval(10, std::chrono::seconds(2));
   EXPECT_EQ(small, std::chrono::seconds(2));
   EXPECT_EQ(large, std::chrono::seconds(18));
+}
+
+TEST(NetworkMonitorTest, BlockingMeasurementOnItsOwnLoopLeavesHealthOk) {
+  // A measurement against an unreachable echo target blocks for seconds.
+  // On the loop a daemon gives this monitor, that is the job, not a stall:
+  // the reactor's health must stay ok, and the next measurement waits one
+  // interval after the slow one returned instead of firing late at once.
+  ipc::InMemoryStatusStore store;
+  NetworkMonitorConfig config;
+  config.interval = 50ms;
+  NetworkMonitor monitor(config, store);
+  monitor.add_target({"slow", [] {
+                        std::this_thread::sleep_for(600ms);
+                        return measure_fixed(1.0, 10.0)();
+                      }});
+  net::Reactor loop(NetworkMonitor::loop_config());
+  obs::HealthEngine health;
+  health.evaluate();  // baseline for the counter-delta checks, loop included
+  ASSERT_TRUE(loop.start());
+  ASSERT_TRUE(monitor.start(loop));
+  for (int i = 0; i < 300 && monitor.measurements() < 2; ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  monitor.stop();
+  loop.stop();
+  EXPECT_GE(monitor.measurements(), 2u);
+
+  obs::HealthReport report = health.evaluate();
+  auto reactor = std::find_if(report.subsystems.begin(), report.subsystems.end(),
+                              [](const auto& subsystem) { return subsystem.name == "reactor"; });
+  ASSERT_NE(reactor, report.subsystems.end()) << report.to_text();
+  EXPECT_EQ(reactor->level, obs::HealthLevel::kOk) << report.to_text();
 }
 
 // --- security monitor ------------------------------------------------------------

@@ -530,6 +530,25 @@ TEST(WizardDegradation, StaleFeedFlagsRepliesAndRecovers) {
   EXPECT_FALSE(reply.stale);
 }
 
+// One report landing at a monitor whose steady clock reads `offset_s` off
+// this host's, then one push of it. True once the receiver applied it.
+bool report_and_push(ipc::StatusStore& monitor_store, transport::Transmitter& transmitter,
+                     const transport::Receiver& receiver, const char* address,
+                     std::int64_t offset_s) {
+  ipc::SysRecord record;
+  ipc::copy_fixed(record.host, ipc::kHostNameLen, address);
+  ipc::copy_fixed(record.address, ipc::kAddressLen, address);
+  record.updated_ns = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(ipc::steady_now_ns()) + offset_s * 1'000'000'000);
+  monitor_store.put_sys(record);
+  std::uint64_t applied = receiver.snapshots_received();
+  if (!transmitter.transmit_once()) return false;
+  for (int i = 0; i < 1000 && receiver.snapshots_received() == applied; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  return receiver.snapshots_received() > applied;
+}
+
 TEST(WizardDegradation, ReceiverFedFeedAgesOnTheWizardsClock) {
   // The monitor runs on another host: its steady clock, which stamps every
   // record and ships byte for byte, reads 1 h ahead of the wizard's, then
@@ -548,21 +567,8 @@ TEST(WizardDegradation, ReceiverFedFeedAgesOnTheWizardsClock) {
     core::WizardConfig wizard_config;
     wizard_config.staleness_bound = kBound;
     core::Wizard wizard(wizard_config, wizard_store, &receiver);
-
-    // One report landing at the monitor, then one push of it.
     auto push = [&] {
-      ipc::SysRecord record;
-      ipc::copy_fixed(record.host, ipc::kHostNameLen, "remote");
-      ipc::copy_fixed(record.address, ipc::kAddressLen, "9.9.9.9:4");
-      record.updated_ns = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(ipc::steady_now_ns()) + offset_s * 1'000'000'000);
-      monitor_store.put_sys(record);
-      std::uint64_t applied = receiver.snapshots_received();
-      if (!transmitter.transmit_once()) return false;
-      for (int i = 0; i < 1000 && receiver.snapshots_received() == applied; ++i) {
-        std::this_thread::sleep_for(1ms);
-      }
-      return receiver.snapshots_received() > applied;
+      return report_and_push(monitor_store, transmitter, receiver, "9.9.9.9:4", offset_s);
     };
 
     // Fresh while pushes arrive, for well over the bound.
@@ -579,6 +585,54 @@ TEST(WizardDegradation, ReceiverFedFeedAgesOnTheWizardsClock) {
     EXPECT_FALSE(wizard.degraded());
     receiver.stop();
   }
+}
+
+TEST(WizardDegradation, FeedAgeComparesEachMonitorOnlyWithItself) {
+  // Two monitors whose hosts' steady clocks differ by 2 h push to one
+  // receiver. Once the fast-clock monitor stops, the slow-clock one's
+  // pushes must keep the wizard fresh, although none of its stamps ever
+  // beats the other monitor's.
+  constexpr auto kBound = 200ms;
+  constexpr auto kPushInterval = 50ms;
+  ipc::InMemoryStatusStore wizard_store;
+  transport::Receiver receiver(transport::ReceiverConfig{}, wizard_store);
+  ASSERT_TRUE(receiver.start());
+  transport::TransmitterConfig tx_config;
+  tx_config.receiver = receiver.endpoint();
+  ipc::InMemoryStatusStore fast_store;
+  ipc::InMemoryStatusStore slow_store;
+  tx_config.source_id = 1;
+  transport::Transmitter fast(tx_config, fast_store);
+  tx_config.source_id = 2;
+  transport::Transmitter slow(tx_config, slow_store);
+  core::WizardConfig wizard_config;
+  wizard_config.staleness_bound = kBound;
+  core::Wizard wizard(wizard_config, wizard_store, &receiver);
+  auto push_fast = [&] {
+    return report_and_push(fast_store, fast, receiver, "9.9.9.9:5", 3600);
+  };
+  auto push_slow = [&] {
+    return report_and_push(slow_store, slow, receiver, "9.9.9.9:6", -3600);
+  };
+
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(push_fast());
+    ASSERT_TRUE(push_slow());
+    EXPECT_FALSE(wizard.degraded()) << "round " << i;
+    std::this_thread::sleep_for(kPushInterval);
+  }
+  // Only the slow-clock monitor keeps pushing, for well over the bound.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(push_slow());
+    EXPECT_FALSE(wizard.degraded()) << "slow push " << i;
+    std::this_thread::sleep_for(kPushInterval);
+  }
+  // Stale once it stops too; fresh again on its next push.
+  std::this_thread::sleep_for(kBound);
+  EXPECT_TRUE(wizard.degraded());
+  ASSERT_TRUE(push_slow());
+  EXPECT_FALSE(wizard.degraded());
+  receiver.stop();
 }
 
 TEST(WizardDegradation, DisabledBoundNeverDegrades) {

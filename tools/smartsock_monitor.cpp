@@ -102,11 +102,11 @@ int main(int argc, char** argv) {
               system_monitor.ingest_shards() == 1 ? "" : "s");
 
   // One loop runs the security monitor and, with --stats-port, the stats
-  // server. The network monitor gets a loop of its own: a measurement
-  // against an unreachable echo target blocks for seconds. Both outlive
-  // everything started on them.
+  // server. The network monitor gets a loop of its own, without a stall
+  // watchdog: a measurement against an unreachable echo target blocks for
+  // seconds. Both outlive everything started on them.
   net::Reactor loop;
-  net::Reactor netmon_loop;
+  net::Reactor netmon_loop(monitor::NetworkMonitor::loop_config());
   if (!loop.start() || !netmon_loop.start()) {
     std::fprintf(stderr, "cannot start the monitor loops\n");
     return 1;
